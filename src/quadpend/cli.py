@@ -1,14 +1,18 @@
 """Command-line front end: scenario files, batch runs, CSV/JSON emission.
 
-Scenario files are YAML documents with a strict schema: unknown keys are
-rejected with the offending key and line number.  Exit codes: 0 success,
-2 validation error, 3 simulation abort (partial log still written).
+Scenario files are YAML documents with a strict schema, read off the
+parameter dataclasses: unknown keys are rejected with the offending key and
+line number, and each value must convert to the type of its default.  Exit
+codes: 0 success, 2 validation error, 3 simulation abort (partial log still
+written).
 """
 
 import argparse
 import concurrent.futures
 import json
+import math
 import sys
+from dataclasses import fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -16,48 +20,13 @@ import numpy as np
 import yaml
 
 from .controllers import TrackingGains
-from .harness import NoiseSpec, Scenario, ScenarioError, SimLog, run_scenario
+from .harness import NoiseSpec, Scenario, SimLog, run_scenario
 from .models import PendulumParams, PendulumState, QuadState, VehicleParams
 from .trajectories import TrajectorySpec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ABORT = 3
-
-# None means "any value"; nested dicts are validated recursively.
-_SCHEMA = {
-    "name": None,
-    "description": None,
-    "controller": None,
-    "duration": None,
-    "dt": None,
-    "seed": None,
-    "vehicle": {
-        "mass": None, "inertia": None, "rho": None, "rotor_diameter": None,
-        "thrust_coeff": None, "torque_coeff": None, "arm_length": None,
-        "gravity": None, "u_min": None, "u_max": None,
-    },
-    "pendulum": {"half_length": None, "mass": None},
-    "gains": {
-        "alpha1": None, "alpha2": None, "kp": None, "kd": None,
-        "q_care": None, "k1": None, "k2": None, "q_lqr": None,
-        "r_lqr": None, "attitude_clamp": None,
-    },
-    "trajectory": {
-        "kind": None, "radius": None, "rate": None, "altitude": None,
-        "setpoint": None, "transition_time": None, "blend": None,
-        "blend_window": None, "pend_radius": None,
-    },
-    "initial": {
-        "position": None, "velocity": None, "attitude": None,
-        "omega": None, "pendulum": None,
-    },
-    "noise": {
-        "enabled": None, "accel_std": None, "ang_accel_std": None,
-        "dt_ref": None,
-    },
-    "batch": None,
-}
 
 
 class ValidationError(Exception):
@@ -87,104 +56,91 @@ def _check_keys(doc, schema, raw_text, path=""):
             _check_keys(value or {}, sub, raw_text, path=f"{path}{key}.")
 
 
-def _vec(value, n, what):
-    if np.isscalar(value):
-        return tuple(float(value) for _ in range(n))
-    value = list(value)
-    if len(value) != n:
-        raise ValidationError(f"{what} must have {n} components")
-    return tuple(float(v) for v in value)
+# YAML section -> (Scenario field, dataclass, {field name: YAML key} for the
+# fields whose YAML key differs).  Keys, defaults and value types all come
+# from the dataclass fields; initial.pendulum is the one key outside this
+# table.
+_SECTIONS = {
+    "vehicle": ("vehicle", VehicleParams, {
+        "m": "mass", "I_diag": "inertia", "D": "rotor_diameter",
+        "C_T": "thrust_coeff", "C_Q": "torque_coeff", "l": "arm_length",
+        "g": "gravity"}),
+    "pendulum": ("pendulum", PendulumParams, {"L": "half_length",
+                                              "m_p": "mass"}),
+    "gains": ("gains", TrackingGains, {}),
+    "trajectory": ("trajectory", TrajectorySpec, {}),
+    "initial": ("initial_quad", QuadState, {
+        "p": "position", "v": "velocity", "q": "attitude"}),
+    "noise": ("noise", NoiseSpec, {}),
+}
+# Top-level keys: the Scenario fields that are not sections.
+_SCALARS = tuple(f.name for f in fields(Scenario) if not is_dataclass(f.type))
+
+
+def scenario_schema() -> dict:
+    """Valid keys of a scenario file -> field name, or a section's own keys."""
+    schema = {key: key for key in _SCALARS}
+    for section, (_, cls, keys) in _SECTIONS.items():
+        schema[section] = {keys.get(f.name, f.name): f.name
+                           for f in fields(cls)}
+    schema["initial"]["pendulum"] = "initial_pend"
+    schema["batch"] = None
+    return schema
+
+
+def _convert(value, like, key):
+    """value read as the type of the default value like."""
+    if isinstance(like, (bool, int, str)):
+        if type(value) is not type(like):
+            raise ValidationError(
+                f"{key} must be a {type(like).__name__}, got {value!r}")
+        return value
+    if isinstance(like, float):
+        try:
+            x = float(value)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{key} must be a number, got {value!r}") from None
+        if not math.isfinite(x):
+            raise ValidationError(f"{key} must be finite, got {value!r}")
+        return x
+    vec = _vec(value, len(like), key)
+    return np.array(vec) if isinstance(like, np.ndarray) else vec
+
+
+def _vec(value, n, key):
+    """n floats from a list of n, or from one number repeated n times."""
+    items = value if isinstance(value, (list, tuple)) else [value] * n
+    if len(items) != n:
+        raise ValidationError(f"{key} must have {n} components")
+    return tuple(_convert(v, 0.0, key) for v in items)
+
+
+def _typed_fields(like, doc, keys, path=""):
+    """Field name -> value for each YAML key in doc, typed like the defaults."""
+    return {keys[k]: _convert(v, getattr(like, keys[k]), path + k)
+            for k, v in doc.items()}
 
 
 def build_scenario(doc: dict, default_name: str) -> Scenario:
-    """Construct a Scenario from a validated scenario document."""
-    veh = doc.get("vehicle") or {}
-    kw = {}
-    mapping = {"mass": "m", "inertia": "I_diag", "rho": "rho",
-               "rotor_diameter": "D", "thrust_coeff": "C_T",
-               "torque_coeff": "C_Q", "arm_length": "l", "gravity": "g",
-               "u_min": "u_min", "u_max": "u_max"}
-    for yk, fk in mapping.items():
-        if yk in veh:
-            v = veh[yk]
-            if fk == "I_diag":
-                v = _vec(v, 3, "inertia")
-            elif fk in ("u_min", "u_max"):
-                v = _vec(v, 4, yk)
-            else:
-                v = float(v)
-            kw[fk] = v
+    """Construct a Scenario from a document whose keys are validated."""
+    schema = scenario_schema()
+    scalars = {k: doc[k] for k in _SCALARS if k in doc}
+    kw = {"name": default_name, **_typed_fields(Scenario(), scalars, schema)}
+    initial = dict(doc.get("initial") or {})
+    pend0 = initial.pop("pendulum", None)
+    if pend0 is not None:
+        kw["initial_pend"] = PendulumState(*_vec(
+            pend0, len(fields(PendulumState)), "initial.pendulum"))
     try:
-        vehicle = VehicleParams(**kw)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-    pendulum = None
-    if doc.get("pendulum"):
-        pd = doc["pendulum"]
-        pendulum = PendulumParams(L=float(pd.get("half_length", 0.5)),
-                                  m_p=float(pd.get("mass", 0.05)))
-
-    gd = doc.get("gains") or {}
-    gains = TrackingGains(
-        alpha1=float(gd.get("alpha1", 100.0)),
-        alpha2=float(gd.get("alpha2", 20.0)),
-        kp=float(gd.get("kp", 4.0)),
-        kd=float(gd.get("kd", 4.0)),
-        q_care=float(gd.get("q_care", 1.0)),
-        k1=float(gd.get("k1", 8.0)),
-        k2=float(gd.get("k2", 16.0)),
-        q_lqr=_vec(gd.get("q_lqr", (10, 10, 1, 1, 1, 1, 1, 1)), 8, "q_lqr"),
-        r_lqr=_vec(gd.get("r_lqr", (100, 100)), 2, "r_lqr"),
-        attitude_clamp=float(gd.get("attitude_clamp", 0.5)),
-    )
-
-    td = doc.get("trajectory") or {}
-    try:
-        trajectory = TrajectorySpec(
-            kind=td.get("kind", "set-point"),
-            radius=float(td.get("radius", 1.0)),
-            rate=float(td.get("rate", 0.5)),
-            altitude=float(td.get("altitude", -2.0)),
-            setpoint=_vec(td.get("setpoint", (0.0, 0.0, -2.0)), 3, "setpoint"),
-            transition_time=float(td.get("transition_time", 5.0)),
-            blend=bool(td.get("blend", True)),
-            blend_window=float(td.get("blend_window", 1.0)),
-            pend_radius=float(td.get("pend_radius", 0.1)),
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-    idoc = doc.get("initial") or {}
-    initial_quad = QuadState(
-        p=np.array(_vec(idoc.get("position", (0, 0, 0)), 3, "position")),
-        v=np.array(_vec(idoc.get("velocity", (0, 0, 0)), 3, "velocity")),
-        q=np.array(_vec(idoc.get("attitude", (0, 0, 0)), 3, "attitude")),
-        omega=np.array(_vec(idoc.get("omega", (0, 0, 0)), 3, "omega")))
-    initial_pend = None
-    if "pendulum" in idoc and idoc["pendulum"] is not None:
-        pv = _vec(idoc["pendulum"], 4, "initial.pendulum")
-        initial_pend = PendulumState(*pv)
-
-    nd = doc.get("noise") or {}
-    noise = NoiseSpec(enabled=bool(nd.get("enabled", False)),
-                      accel_std=float(nd.get("accel_std", 0.2)),
-                      ang_accel_std=float(nd.get("ang_accel_std", 0.1)),
-                      dt_ref=float(nd.get("dt_ref", 1e-3)))
-
-    try:
-        return Scenario(
-            name=str(doc.get("name", default_name)),
-            description=str(doc.get("description", "")),
-            controller=str(doc.get("controller", "fbl-tracker")),
-            vehicle=vehicle, pendulum=pendulum, gains=gains,
-            trajectory=trajectory, initial_quad=initial_quad,
-            initial_pend=initial_pend,
-            duration=float(doc.get("duration", 10.0)),
-            dt=float(doc.get("dt", 1e-3)),
-            seed=int(doc.get("seed", 0)),
-            noise=noise)
-    except (ScenarioError, ValueError) as exc:
+        for section, (name, cls, _) in _SECTIONS.items():
+            sdoc = initial if section == "initial" else doc.get(section)
+            if section == "pendulum" and not sdoc:
+                continue  # no pendulum section, no pendulum
+            kw[name] = cls(**_typed_fields(
+                cls(), sdoc or {}, schema[section], f"{section}."))
+        return Scenario(**kw)
+    except (ValueError, ArithmeticError) as exc:
         raise ValidationError(str(exc)) from exc
 
 
@@ -212,7 +168,8 @@ def load_scenarios(path: Path, overrides=(), seed=None):
         raise ValidationError(f"{path.name}: document must be a mapping")
 
     batch = doc.pop("batch", None)
-    _check_keys(doc, _SCHEMA, raw)
+    schema = scenario_schema()
+    _check_keys(doc, schema, raw)
 
     variants = [({}, "")]
     if batch is not None:
@@ -220,9 +177,10 @@ def load_scenarios(path: Path, overrides=(), seed=None):
             raise ValidationError("batch must be a list of override entries")
         variants = []
         for i, entry in enumerate(batch):
-            if not isinstance(entry, dict) or "set" not in entry:
+            if not (isinstance(entry, dict)
+                    and isinstance(entry.get("set"), dict)):
                 raise ValidationError(
-                    f"batch entry {i} must be a mapping with a 'set' key")
+                    f"batch entry {i} must be a mapping with a 'set' mapping")
             suffix = str(entry.get("name", f"b{i}"))
             variants.append((entry["set"], f"-{suffix}"))
 
@@ -235,10 +193,16 @@ def load_scenarios(path: Path, overrides=(), seed=None):
             apply_override(vdoc, dotted, value)
         if seed is not None:
             vdoc["seed"] = seed
-        _check_keys(vdoc, _SCHEMA, raw)
+        _check_keys(vdoc, schema, raw)
         sc = build_scenario(vdoc, default_name=path.stem)
         if suffix:
             sc = Scenario(**{**sc.__dict__, "name": sc.name + suffix})
+        # The name becomes a file name under --out.
+        if any(part in sc.name for part in ("/", "\\", "..")):
+            raise ValidationError(
+                f"name {sc.name!r} must not contain '/', '\\' or '..'")
+        if any(sc.name == other.name for other in scenarios):
+            raise ValidationError(f"two runs are named {sc.name!r}")
         scenarios.append(sc)
     return scenarios
 
@@ -342,7 +306,10 @@ def _parse_set(values):
         if "=" not in item:
             raise ValidationError(f"--set expects key=value, got {item!r}")
         key, _, val = item.partition("=")
-        out.append((key.strip(), yaml.safe_load(val)))
+        try:
+            out.append((key.strip(), yaml.safe_load(val)))
+        except yaml.YAMLError as exc:
+            raise ValidationError(f"--set {item!r}: cannot parse the value") from exc
     return out
 
 

@@ -63,7 +63,8 @@ class AttitudeSetpoint:
 
 @dataclass(frozen=True)
 class TrackingGains:
-    """Gain set for every controller family; see README for defaults."""
+    """Gain set for every controller family; its defaults are the scenario
+    defaults and the controllers' keyword defaults."""
 
     alpha1: float = 100.0
     alpha2: float = 20.0
@@ -75,6 +76,11 @@ class TrackingGains:
     q_lqr: tuple = (10.0, 10.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
     r_lqr: tuple = (100.0, 100.0)
     attitude_clamp: float = 0.5  # rad, LQR set-point clamp
+
+    def __post_init__(self):
+        if self.q_care <= 0 or min(self.q_lqr) < 0 or min(self.r_lqr) <= 0:
+            raise ValueError("q_care and r_lqr must be positive and q_lqr "
+                             "nonnegative")
 
 
 def output_error_matrices():
@@ -97,7 +103,7 @@ class OutputClf:
     G: np.ndarray
 
 
-def setup_output_clf(q_care=1.0) -> OutputClf:
+def setup_output_clf(q_care=TrackingGains.q_care) -> OutputClf:
     F, G = output_error_matrices()
     Q = np.eye(8) * float(q_care) if np.isscalar(q_care) else np.asarray(q_care)
     P = solve_care(CareProblem(F=F, G=G, Q=Q))
@@ -167,7 +173,8 @@ def fbl_regulator(s: QuadState, y_d, p: VehicleParams,
 
 
 def fbl_tracker(s: QuadState, ref: OutputReference, p: VehicleParams,
-                alpha1=100.0, alpha2=20.0) -> ControlCommand:
+                alpha1=TrackingGains.alpha1,
+                alpha2=TrackingGains.alpha2) -> ControlCommand:
     """PD trajectory tracking with exact feedforward of the reference."""
     terms = fbl_terms(s, p)
     y, y_dot = output_vector(s)
@@ -303,7 +310,8 @@ def _pendulum_nu(ps: PendulumState, ref_pend, ref_pend_dot, ref_pend_ddot,
 
 
 def pendulum_fbl_xi(ps: PendulumState, ref_pend, ref_pend_dot, ref_pend_ddot,
-                    pp: PendulumParams, g: float, k1=8.0, k2=16.0):
+                    pp: PendulumParams, g: float, k1=TrackingGains.k1,
+                    k2=TrackingGains.k2):
     """Minimum-norm vehicle acceleration xi = B_p^+ (-f_p + nu)."""
     nu = _pendulum_nu(ps, ref_pend, ref_pend_dot, ref_pend_ddot, k1, k2)
     f_p, B_p = pendulum_drift_and_coupling(ps.a, ps.b, ps.a_dot, ps.b_dot,
@@ -316,7 +324,8 @@ def pendulum_fbl_xi(ps: PendulumState, ref_pend, ref_pend_dot, ref_pend_ddot,
 
 def pendulum_fbl_xi_prime(ps: PendulumState, pz_ddot: float, ref_pend,
                           ref_pend_dot, ref_pend_ddot, pp: PendulumParams,
-                          g: float, k1=8.0, k2=16.0):
+                          g: float, k1=TrackingGains.k1,
+                          k2=TrackingGains.k2):
     """Planar acceleration xi' from the 2x2 restriction of B_p.
 
     The vertical acceleration pz_ddot is supplied externally and folded
@@ -365,7 +374,8 @@ def setup_pendulum_lqr(g: float, L: float, q_lqr, r_lqr):
     return np.linalg.solve(R, B.T @ P)
 
 
-def pendulum_position_lqr(eta_p, eta_ref, K, clamp=0.5):
+def pendulum_position_lqr(eta_p, eta_ref, K,
+                          clamp=TrackingGains.attitude_clamp):
     """Roll/pitch set-points (phi_d, theta_d) = -K (eta_p - ref), clamped."""
     u = -K @ (np.asarray(eta_p, dtype=float) - np.asarray(eta_ref, dtype=float))
     return np.clip(u, -clamp, clamp)

@@ -19,8 +19,8 @@ from . import models, trajectories
 from .models import (ControlCommand, PENDULUM_MARGIN, PendulumHorizontalError,
                      PendulumParams, PendulumState, QuadState,
                      SingularAttitudeError, VehicleParams)
-from .numerics import (NonFiniteDerivativeError, QpInfeasibleError,
-                       QpUnboundedError, rk4_step)
+from .numerics import (CareError, NonFiniteDerivativeError,
+                       QpInfeasibleError, QpUnboundedError, rk4_step)
 from .trajectories import SetpointDifferentiator, TrajectorySpec, sample_trajectory
 
 CONTROLLER_KINDS = ("fbl-regulator", "fbl-tracker", "clf-qp",
@@ -47,6 +47,12 @@ class NoiseSpec:
     ang_accel_std: float = 0.1  # rad/s^2 on omega_dot
     dt_ref: float = 1e-3
 
+    def __post_init__(self):
+        if self.accel_std < 0 or self.ang_accel_std < 0:
+            raise ScenarioError("noise stds must be nonnegative")
+        if self.dt_ref <= 0:
+            raise ScenarioError("noise dt_ref must be positive")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -57,7 +63,7 @@ class Scenario:
     pendulum: PendulumParams = None
     gains: ctl.TrackingGains = field(default_factory=ctl.TrackingGains)
     trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
-    initial_quad: QuadState = None
+    initial_quad: QuadState = field(default_factory=QuadState)
     initial_pend: PendulumState = None
     duration: float = 10.0
     dt: float = 1e-3
@@ -67,14 +73,13 @@ class Scenario:
     def __post_init__(self):
         if self.controller not in CONTROLLER_KINDS:
             raise ScenarioError(f"unknown controller {self.controller!r}")
-        if self.duration <= 0 or self.dt <= 0:
-            raise ScenarioError("duration and dt must be positive")
+        if not (0 < self.duration < math.inf and 0 < self.dt < math.inf):
+            raise ScenarioError("duration and dt must be positive and finite")
+        if self.seed < 0:
+            raise ScenarioError("seed must be nonnegative")
         if self.controller in PENDULUM_CONTROLLERS and self.pendulum is None:
             raise ScenarioError(
                 f"controller {self.controller!r} requires pendulum parameters")
-        if self.initial_quad is None:
-            object.__setattr__(self, "initial_quad", QuadState(
-                p=np.zeros(3), v=np.zeros(3), q=np.zeros(3), omega=np.zeros(3)))
         if self.pendulum is not None and self.initial_pend is None:
             object.__setattr__(self, "initial_pend",
                                PendulumState(0.0, 0.0, 0.0, 0.0))
@@ -109,28 +114,11 @@ class SimLog:
     abort_reason: str = ""
     metrics: dict = field(default_factory=dict)
 
-
-def _coupled_derivative(x, wrench, p, pp, noise_acc, noise_ang):
-    """Derivative of the (12 or 16)-state coupled system with held inputs."""
-    v = x[3:6]
-    q = x[6:9]
-    omega = x[9:12]
-    v_dot = models.gravity_direction_map(q, p.m) * wrench[0]
-    v_dot[2] += p.g
-    if noise_acc is not None:
-        v_dot = v_dot + noise_acc
-    q_dot = models.euler_rate_matrix(q) @ omega
-    I = p.inertia
-    w_dot = (np.cross(I * omega, omega) + wrench[1:4]) / I
-    if noise_ang is not None:
-        w_dot = w_dot + noise_ang
-    out = np.concatenate([v, v_dot, q_dot, w_dot])
-    if pp is None:
-        return out
-    f_p, B_p = models.pendulum_drift_and_coupling(
-        x[12], x[13], x[14], x[15], pp.L, p.g)
-    pend_acc = f_p + B_p @ v_dot
-    return np.concatenate([out, x[14:16], pend_acc])
+    def abort(self, t, reason):
+        """Record that the run stopped at time t."""
+        self.aborted = True
+        self.abort_time = t
+        self.abort_reason = reason
 
 
 class _Runner:
@@ -223,15 +211,20 @@ class _Runner:
 
 def run_scenario(sc: Scenario) -> SimLog:
     """Run one scenario to completion (or abort) and return the full log."""
-    runner = _Runner(sc)
     p, pp = sc.vehicle, sc.pendulum
     n_steps = int(round(sc.duration / sc.dt))
+    steps = range(n_steps + 1)
 
     x = sc.initial_quad.as_vector()
     if sc.has_pendulum:
         x = np.concatenate([x, sc.initial_pend.as_vector()])
 
     log = SimLog(scenario_name=sc.name, dt=sc.dt)
+    try:
+        runner = _Runner(sc)
+    except CareError as exc:
+        log.abort(0.0, f"controller synthesis failed: {exc}")
+        steps = ()  # abort before the first row
     rows = {k: [] for k in ("t", "quad", "pend", "u", "wrench", "q_d",
                             "f_zd_norm", "ref_pos", "ref_pend", "cmd_accel",
                             "clamped", "qp_relaxed", "qp_fault")}
@@ -239,8 +232,7 @@ def run_scenario(sc: Scenario) -> SimLog:
     u_max = np.asarray(p.u_max, dtype=float)
     noise_scale = math.sqrt(sc.noise.dt_ref / sc.dt) if sc.noise.enabled else 0.0
 
-    aborted = False
-    for i in range(n_steps + 1):
+    for i in steps:
         t = i * sc.dt
         refs = sample_trajectory(sc.trajectory, t)
         s = QuadState.from_vector(x[:12])
@@ -266,15 +258,11 @@ def run_scenario(sc: Scenario) -> SimLog:
             q_d = np.zeros(3)
             thrust = cmd.f_z
             if runner.consecutive_faults >= MAX_CONSECUTIVE_FAULTS:
-                log.aborted = True
-                log.abort_time = t
-                log.abort_reason = "persistent QP infeasibility"
-                aborted = True
+                log.abort(t, "persistent QP infeasibility")
         except (SingularAttitudeError, PendulumHorizontalError,
-                ctl.PendulumCouplingError, ctl.AllocationError) as exc:
-            log.aborted = True
-            log.abort_time = t
-            log.abort_reason = str(exc)
+                ctl.PendulumCouplingError, ctl.AllocationError,
+                np.linalg.LinAlgError) as exc:
+            log.abort(t, str(exc))
             break
 
         u_cl = np.clip(cmd.u, u_min, u_max)
@@ -304,7 +292,7 @@ def run_scenario(sc: Scenario) -> SimLog:
         rows["qp_relaxed"].append(report.relaxed)
         rows["qp_fault"].append(report.fault)
 
-        if aborted or i == n_steps:
+        if log.aborted or i == n_steps:
             break
 
         if sc.noise.enabled:
@@ -316,26 +304,20 @@ def run_scenario(sc: Scenario) -> SimLog:
             noise_acc = noise_ang = None
 
         try:
-            x = rk4_step(lambda xx: _coupled_derivative(
+            x = rk4_step(lambda xx: models.coupled_derivative(
                 xx, cmd.wrench, p, pp, noise_acc, noise_ang), x, sc.dt, t=t)
         except (SingularAttitudeError, PendulumHorizontalError,
                 NonFiniteDerivativeError) as exc:
-            log.aborted = True
-            log.abort_time = t
-            log.abort_reason = str(exc)
+            log.abort(t, str(exc))
             break
 
         if abs(x[7]) >= math.pi / 2:
-            log.aborted = True
-            log.abort_time = t + sc.dt
-            log.abort_reason = "pitch reached +-pi/2"
+            log.abort(t + sc.dt, "pitch reached +-pi/2")
             break
         if sc.has_pendulum:
             r2 = x[12] ** 2 + x[13] ** 2
             if r2 > (PENDULUM_MARGIN * pp.L) ** 2:
-                log.aborted = True
-                log.abort_time = t + sc.dt
-                log.abort_reason = "pendulum approached horizontal"
+                log.abort(t + sc.dt, "pendulum approached horizontal")
                 break
 
     log.t = np.asarray(rows["t"])
@@ -401,7 +383,9 @@ def compute_metrics(log: SimLog, tail_frac=0.5) -> dict:
     """Summary metrics over the tail window [tail_frac * T, T]."""
     n = log.t.size
     if n == 0:
-        raise ValueError("empty log")
+        # Aborted before the first row: there is nothing to summarise.
+        return {"clamp_events": 0, "qp_relaxed_events": 0, "qp_faults": 0,
+                "aborted": bool(log.aborted)}
     i0 = int(math.floor(tail_frac * (n - 1)))
     err = log.quad[:, 0:3] - log.ref_pos
     m = {

@@ -90,14 +90,18 @@ class PendulumParams:
             raise ValueError("pendulum mass must be nonnegative")
 
 
+def _zeros3():
+    return np.zeros(3)
+
+
 @dataclass(frozen=True)
 class QuadState:
     """Quadrotor state: position, velocity, Euler angles, body rates."""
 
-    p: np.ndarray
-    v: np.ndarray
-    q: np.ndarray
-    omega: np.ndarray
+    p: np.ndarray = field(default_factory=_zeros3)
+    v: np.ndarray = field(default_factory=_zeros3)
+    q: np.ndarray = field(default_factory=_zeros3)
+    omega: np.ndarray = field(default_factory=_zeros3)
 
     @classmethod
     def from_vector(cls, x):
@@ -212,20 +216,6 @@ def euler_rate_matrix(q) -> np.ndarray:
     ])
 
 
-def quad_derivative(s: QuadState, c: ControlCommand,
-                    p: VehicleParams) -> np.ndarray:
-    """Time derivative of the 12-component quadrotor state."""
-    f_z = c.f_z
-    tau = c.wrench[1:4]
-    v_dot = gravity_direction_map(s.q, p.m) * f_z
-    v_dot[2] += p.g
-    q_dot = euler_rate_matrix(s.q) @ s.omega
-    I = p.inertia
-    Iw = I * s.omega
-    w_dot = (np.cross(Iw, s.omega) + tau) / I
-    return np.concatenate([s.v, v_dot, q_dot, w_dot])
-
-
 def pendulum_zeta(a: float, b: float, L: float) -> float:
     """Vertical offset zeta = sqrt(L^2 - a^2 - b^2) of the pendulum CoM."""
     r2 = a * a + b * b
@@ -253,9 +243,31 @@ def pendulum_drift_and_coupling(a, b, a_dot, b_dot, L, g):
     return f_p, B_p
 
 
-def pendulum_derivative(ps: PendulumState, quad_accel, pp: PendulumParams,
-                        g: float) -> np.ndarray:
-    """Pendulum offset accelerations (a_ddot, b_ddot) given the vehicle p_ddot."""
+def coupled_derivative(x, wrench, p: VehicleParams, pp: PendulumParams = None,
+                       noise_acc=None, noise_ang=None) -> np.ndarray:
+    """Time derivative of the quadrotor state, and of the pendulum's if pp.
+
+    x holds the 12 quadrotor states, followed by the 4 pendulum states when
+    pp is given.  The wrench [f_z, tau] and the optional additive noise on
+    v_dot and omega_dot are held constant; the pendulum is driven by the
+    realized vehicle acceleration, noise included.
+    """
+    v = x[3:6]
+    q = x[6:9]
+    omega = x[9:12]
+    v_dot = gravity_direction_map(q, p.m) * wrench[0]
+    v_dot[2] += p.g
+    if noise_acc is not None:
+        v_dot = v_dot + noise_acc
+    q_dot = euler_rate_matrix(q) @ omega
+    I = p.inertia
+    w_dot = (np.cross(I * omega, omega) + wrench[1:4]) / I
+    if noise_ang is not None:
+        w_dot = w_dot + noise_ang
+    out = np.concatenate([v, v_dot, q_dot, w_dot])
+    if pp is None:
+        return out
     f_p, B_p = pendulum_drift_and_coupling(
-        ps.a, ps.b, ps.a_dot, ps.b_dot, pp.L, g)
-    return f_p + B_p @ np.asarray(quad_accel, dtype=float)
+        x[12], x[13], x[14], x[15], pp.L, p.g)
+    pend_acc = f_p + B_p @ v_dot
+    return np.concatenate([out, x[14:16], pend_acc])

@@ -117,7 +117,10 @@ def solve_care(prob: CareProblem) -> np.ndarray:
 
     S = G @ np.linalg.solve(R, G.T)
     ham = np.block([[F, -S], [-Q, -F.T]])
-    _, U, ndim = scipy.linalg.schur(ham, sort="lhp")
+    try:
+        _, U, ndim = scipy.linalg.schur(ham, sort="lhp")
+    except (ValueError, np.linalg.LinAlgError) as exc:  # non-finite or unsortable
+        raise CareError(f"Schur decomposition failed: {exc}") from exc
     if ndim != n:
         raise CareError(
             f"expected {n} stable Hamiltonian eigenvalues, found {ndim}; "
@@ -139,13 +142,15 @@ def solve_care(prob: CareProblem) -> np.ndarray:
         K = np.linalg.solve(R, G.T @ P)
         Acl = F - G @ K
         rhs = -(Q + K.T @ R @ K)
+        if not (np.all(np.isfinite(Acl)) and np.all(np.isfinite(rhs))):
+            break
         P_next = scipy.linalg.solve_continuous_lyapunov(Acl.T, rhs)
         P_next = 0.5 * (P_next + P_next.T)
         if not np.all(np.isfinite(P_next)):
             break
         P = P_next
 
-    if care_residual(prob, P) >= 1e-8 * max(qnorm, 1.0):
+    if not care_residual(prob, P) < 1e-8 * max(qnorm, 1.0):  # NaN fails
         raise CareError("CARE residual contract not met")
     if np.min(np.linalg.eigvalsh(P)) <= 0:
         raise CareError("CARE solution is not positive definite")

@@ -2,11 +2,19 @@
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadpend.cli import (CSV_BASE_COLUMNS, CSV_FLAG_COLUMNS, EXIT_ABORT,
-                          EXIT_OK, EXIT_VALIDATION, main, shipped_scenarios)
+                          EXIT_OK, EXIT_VALIDATION, main, scenario_schema,
+                          shipped_scenarios)
+from quadpend.controllers import TrackingGains
+from quadpend.harness import NoiseSpec
 
 HOVER = """\
 name: hover-test
@@ -81,6 +89,43 @@ class TestValidate:
         assert rc == EXIT_VALIDATION
         assert "gains.mu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [
+        "gains.kp=abc", "vehicle.mass=abc", "initial.position=abc",
+        "duration=.nan", "gains.kp=.nan", "dt=.inf", "vehicle.u_max=[1, .inf]",
+        "noise.enabled=maybe", "seed=1.5", "name=[a]", "gains.kp=["])
+    def test_unconvertible_or_nonfinite_value_rejected(self, tmp_path, capsys,
+                                                       setting):
+        rc = main(["run", write(tmp_path, HOVER), "--out", str(tmp_path / "o"),
+                   "--set", setting])
+        assert rc == EXIT_VALIDATION
+        assert setting.partition("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", [
+        HOVER.replace("name: hover-test", "name: ../escaped"),
+        HOVER.replace("name: hover-test", "name: a\\b"),
+        HOVER + "batch:\n  - name: ../escaped\n    set: {gains.kp: 5.0}\n",
+        HOVER + "batch:\n  - name: x/y\n    set: {gains.kp: 5.0}\n"],
+        ids=["parent-dir", "backslash", "batch-parent-dir", "batch-slash"])
+    def test_path_like_name_rejected(self, tmp_path, capsys, text):
+        out = tmp_path / "sub" / "o"
+        rc = main(["run", write(tmp_path, text), "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert "name" in capsys.readouterr().err
+        assert list(tmp_path.rglob("*.csv")) == []
+
+    def test_duplicate_run_names_rejected(self, tmp_path, capsys):
+        text = HOVER + """\
+batch:
+  - name: a
+    set: {gains.kp: 5.0}
+  - name: a
+    set: {gains.kp: 6.0}
+"""
+        rc = main(["validate", write(tmp_path, text)])
+        assert rc == EXIT_VALIDATION
+        assert "hover-test-a" in capsys.readouterr().err
+
 
 class TestRun:
     def test_run_writes_csv_and_metrics(self, tmp_path, capsys):
@@ -140,6 +185,24 @@ class TestRun:
         with open(tmp_path / "o" / "pend-test.csv") as fh:
             rows = list(csv.reader(fh))
         assert 1 < len(rows) < 1002
+
+    @pytest.mark.parametrize("text, setting", [
+        (HOVER, "initial.attitude=[0, 1.5707963267948966, 0]"),
+        (PEND, "initial.pendulum=[0.6, 0, 0, 0]")],
+        ids=["pitch-pi/2", "pendulum-beyond-L"])
+    def test_abort_before_first_row(self, tmp_path, capsys, text, setting):
+        rc = main(["run", write(tmp_path, text), "--out", str(tmp_path / "o"),
+                   "--set", setting])
+        assert rc == EXIT_ABORT
+        assert "abort" in capsys.readouterr().err
+        name = yaml.safe_load(text)["name"]
+        with open(tmp_path / "o" / f"{name}.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 1  # the header only
+        m = json.loads((tmp_path / "o" / f"{name}.metrics.json").read_text())
+        assert m["aborted"] is True
+        assert m["abort_time"] == 0.0
+        assert m["abort_reason"]
 
     def test_set_override_applies(self, tmp_path):
         main(["run", write(tmp_path, HOVER), "--out", str(tmp_path / "a")])
@@ -208,3 +271,52 @@ class TestListScenarios:
         out = capsys.readouterr().out.split()
         assert len(out) == 8
         assert "fig6-pend-balance.scn" in out
+
+
+def _leaf_keys():
+    keys = []
+    for key, sub in scenario_schema().items():
+        if isinstance(sub, dict):
+            keys += [f"{key}.{k}" for k in sub]
+        elif key != "batch":
+            keys.append(key)
+    return keys
+
+
+# Every positive number here keeps a run short: at most 0.02 s at dt 1e-4.
+# The valid names steer some draws into other controllers and references.
+ADVERSARIAL = st.sampled_from([
+    float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e-4, 0.02,
+    "abc", [1.0, 2.0], None, {"x": 1.0}, "clf-qp", "pend-lqr", "circle"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.sampled_from(_leaf_keys()), ADVERSARIAL,
+                       max_size=4))
+def test_adversarial_values_end_in_an_exit_code(sets):
+    doc = yaml.safe_load(PEND.replace("duration: 0.05", "duration: 0.02"))
+    for dotted, value in sets.items():
+        section, _, key = dotted.rpartition(".")
+        node = doc.setdefault(section, {}) if section else doc
+        node[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.scn"
+        path.write_text(yaml.safe_dump(doc))
+        rc = main(["run", str(path), "--out", str(Path(tmp) / "o")])
+    assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_ABORT)
+
+
+def test_readme_scenario_block_matches_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    doc = yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
+    schema = scenario_schema()
+    assert set(doc) == set(schema)
+    for section, keys in schema.items():
+        if isinstance(keys, dict):
+            assert set(doc[section]) == set(keys), section
+    for section, cls in (("gains", TrackingGains), ("noise", NoiseSpec)):
+        defaults = cls()
+        got = {k: tuple(v) if isinstance(v, list) else v
+               for k, v in doc[section].items()}
+        assert got == {k: getattr(defaults, f)
+                       for k, f in schema[section].items()}, section

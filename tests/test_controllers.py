@@ -15,10 +15,12 @@ from quadpend.controllers import (AllocationError, OutputClf, OutputReference,
                                   pendulum_position_lqr, position_allocation,
                                   setup_output_clf, setup_pendulum_lqr)
 from quadpend.models import (ControlCommand, PendulumParams, PendulumState,
-                             QuadState, VehicleParams, euler_rate_matrix,
-                             gravity_direction_map, pendulum_derivative,
-                             pendulum_drift_and_coupling, quad_derivative)
+                             QuadState, VehicleParams, coupled_derivative,
+                             euler_rate_matrix, gravity_direction_map,
+                             pendulum_drift_and_coupling)
 from quadpend.numerics import linearize, rk4_step
+
+from helpers import pendulum_accel
 
 P = VehicleParams()
 PP = PendulumParams()
@@ -68,7 +70,7 @@ class TestFblTerms:
             s = QuadState.from_vector(x)
             terms = fbl_terms(s, P)
             pred = terms.Lf_h + terms.A_x @ cmd.wrench
-            f = quad_derivative(s, cmd, P)
+            f = coupled_derivative(x, cmd.wrench, P)
             _, yd_plus = output_vector(QuadState.from_vector(x + h * f))
             _, yd_minus = output_vector(QuadState.from_vector(x - h * f))
             fd = (yd_plus - yd_minus) / (2.0 * h)
@@ -103,7 +105,7 @@ class TestFblRegulator:
                 break
             cmd = fbl_regulator(s, self.Y_D, P, clf)
             x = rk4_step(
-                lambda xx: quad_derivative(QuadState.from_vector(xx), cmd, P),
+                lambda xx: coupled_derivative(xx, cmd.wrench, P),
                 x, dt)
         return etas, dt
 
@@ -149,7 +151,7 @@ class TestFblTracker:
             s = QuadState.from_vector(x)
             cmd = fbl_tracker(s, ref, P, alpha1=25.0, alpha2=10.0)
             x = rk4_step(
-                lambda xx: quad_derivative(QuadState.from_vector(xx), cmd, P),
+                lambda xx: coupled_derivative(xx, cmd.wrench, P),
                 x, dt)
         for t, err in probes.items():
             want = 0.1 * (1.0 + 5.0 * t) * math.exp(-5.0 * t)
@@ -173,7 +175,7 @@ class TestFblTracker:
                 worst = max(worst, abs(x[2] - y_d[0]))
             cmd = fbl_tracker(s, ref, P)
             x = rk4_step(
-                lambda xx: quad_derivative(QuadState.from_vector(xx), cmd, P),
+                lambda xx: coupled_derivative(xx, cmd.wrench, P),
                 x, dt)
         assert worst < 1e-3
 
@@ -245,7 +247,7 @@ class TestClfQp:
                 assert (V - V_prev) / dt <= -clf.c3 * V_prev + 1e-3
             V_prev = V
             x = rk4_step(
-                lambda xx: quad_derivative(QuadState.from_vector(xx), cmd, P),
+                lambda xx: coupled_derivative(xx, cmd.wrench, P),
                 x, dt)
 
     def test_tight_bounds_trigger_relaxation_box_stays_hard(self):
@@ -284,7 +286,7 @@ class TestPendulumFbl:
             ref_dot = rng.normal(scale=0.1, size=2)
             ref_ddot = rng.normal(scale=0.5, size=2)
             xi = pendulum_fbl_xi(ps, ref, ref_dot, ref_ddot, PP, P.g)
-            acc = pendulum_derivative(ps, xi, PP, P.g)
+            acc = pendulum_accel(ps, xi, PP, P.g)
             nu = (ref_ddot - 8.0 * (np.array([ps.a_dot, ps.b_dot]) - ref_dot)
                   - 16.0 * (np.array([ps.a, ps.b]) - ref))
             np.testing.assert_allclose(acc, nu, rtol=1e-9, atol=1e-10)
@@ -314,7 +316,7 @@ class TestPendulumFbl:
             ref_ddot = rng.normal(scale=0.5, size=2)
             xi_p = pendulum_fbl_xi_prime(ps, pz_ddot, ref, ref_dot, ref_ddot,
                                          PP, P.g)
-            acc = pendulum_derivative(
+            acc = pendulum_accel(
                 ps, np.array([xi_p[0], xi_p[1], pz_ddot]), PP, P.g)
             nu = (ref_ddot - 8.0 * (np.array([ps.a_dot, ps.b_dot]) - ref_dot)
                   - 16.0 * (np.array([ps.a, ps.b]) - ref))
@@ -333,12 +335,12 @@ class TestPendulumLqr:
     def test_linear_model_matches_finite_differences(self):
         # Composite hover-attitude model: inputs (phi, theta), thrust m*g.
         def f(x, u):
-            q = np.array([u[0], u[1], 0.0])
-            p_ddot = gravity_direction_map(q, P.m) * (P.m * P.g)
-            p_ddot = p_ddot + np.array([0.0, 0.0, P.g])
-            ps = PendulumState(x[0], x[1], x[4], x[5])
-            pend_acc = pendulum_derivative(ps, p_ddot, PP, P.g)
-            return np.concatenate([x[4:], pend_acc, p_ddot[:2]])
+            xx = np.zeros(16)
+            xx[6:8] = u  # roll and pitch
+            xx[12:16] = x[0], x[1], x[4], x[5]
+            dx = coupled_derivative(xx, np.array([P.m * P.g, 0.0, 0.0, 0.0]),
+                                    P, PP)
+            return np.concatenate([x[4:], dx[14:16], dx[3:5]])
 
         A_num, B_num = linearize(f, np.zeros(8), np.zeros(2))
         A, B = pendulum_linear_system(P.g, PP.L)

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from quadpend.controllers import TrackingGains
 from quadpend.harness import (MAX_CONSECUTIVE_FAULTS, NoiseSpec, Scenario,
-                              ScenarioError, _coupled_derivative,
-                              compute_metrics, count_overshoots, rms,
-                              run_scenario, settling_time)
+                              ScenarioError, compute_metrics,
+                              count_overshoots, rms, run_scenario,
+                              settling_time)
 from quadpend.models import (PendulumParams, PendulumState, QuadState,
-                             VehicleParams, pendulum_derivative)
+                             VehicleParams, coupled_derivative,
+                             pendulum_drift_and_coupling)
 from quadpend.numerics import rk4_step
 from quadpend.trajectories import TrajectorySpec
 
@@ -43,6 +45,21 @@ class TestScenarioValidation:
     def test_nonpositive_dt(self):
         with pytest.raises(ScenarioError):
             hover_scenario(dt=0.0)
+
+    @pytest.mark.parametrize("kw", [
+        {"duration": math.nan}, {"duration": math.inf}, {"dt": math.nan},
+        {"dt": math.inf}, {"seed": -1}])
+    def test_nonfinite_duration_or_dt_or_negative_seed(self, kw):
+        with pytest.raises(ScenarioError):
+            hover_scenario(**kw)
+
+    @pytest.mark.parametrize("make", [
+        lambda: NoiseSpec(accel_std=-0.1), lambda: NoiseSpec(dt_ref=0.0),
+        lambda: TrackingGains(q_care=0.0),
+        lambda: TrackingGains(r_lqr=(1.0, -1.0))])
+    def test_invalid_noise_or_weights(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_pendulum_initial_defaults_upright(self):
         sc = hover_scenario(controller="pend-xi", pendulum=PendulumParams())
@@ -106,7 +123,7 @@ class TestNoiseInjection:
         noise_ang = rng.normal(0.0, spec.ang_accel_std * scale, 3)
         wrench = np.array([P.m * P.g, 0.0, 0.0, 0.0])
         x = sc.initial_quad.as_vector()
-        want = rk4_step(lambda xx: _coupled_derivative(
+        want = rk4_step(lambda xx: coupled_derivative(
             xx, wrench, P, None, noise_acc, noise_ang), x, dt)
         np.testing.assert_allclose(log.quad[1], want, rtol=0, atol=1e-15)
 
@@ -117,12 +134,12 @@ class TestNoiseInjection:
         x = np.concatenate([np.zeros(12), [0.05, -0.02, 0.1, 0.0]])
         wrench = np.array([P.m * P.g, 0.0, 0.0, 0.0])
         noise_acc = np.array([0.3, -0.2, 0.1])
-        dx = _coupled_derivative(x, wrench, P, pp, noise_acc, None)
+        dx = coupled_derivative(x, wrench, P, pp, noise_acc, None)
         v_dot = dx[3:6]
         np.testing.assert_allclose(v_dot, noise_acc, atol=1e-14)
-        ps = PendulumState(0.05, -0.02, 0.1, 0.0)
-        np.testing.assert_allclose(
-            dx[14:16], pendulum_derivative(ps, v_dot, pp, P.g), rtol=1e-12)
+        f_p, B_p = pendulum_drift_and_coupling(0.05, -0.02, 0.1, 0.0, pp.L,
+                                               P.g)
+        np.testing.assert_allclose(dx[14:16], f_p + B_p @ v_dot, rtol=1e-12)
 
 
 class TestIntegrationOrder:
@@ -138,7 +155,7 @@ class TestIntegrationOrder:
         def integrate(dt):
             x = x0.copy()
             for _ in range(int(round(T / dt))):
-                x = rk4_step(lambda xx: _coupled_derivative(
+                x = rk4_step(lambda xx: coupled_derivative(
                     xx, wrench, P, pp, None, None), x, dt)
             return x
 
@@ -167,7 +184,7 @@ class TestEnergyConservation:
         e0 = energy(x)
         dt = 1e-3
         for _ in range(5000):
-            x = rk4_step(lambda xx: _coupled_derivative(
+            x = rk4_step(lambda xx: coupled_derivative(
                 xx, wrench, P, None, None, None), x, dt)
         assert abs(energy(x) - e0) / abs(e0) < 1e-6
 
@@ -202,6 +219,15 @@ class TestEventsAndAborts:
         assert log.abort_time < 2.0
         assert log.t.size < int(round(2.0 / sc.dt)) + 1
         assert log.metrics["aborted"] is True
+
+
+    def test_synthesis_failure_aborts_before_first_row(self):
+        log = run_scenario(hover_scenario(gains=TrackingGains(q_care=1e-20)))
+        assert log.aborted and log.abort_time == 0.0
+        assert "synthesis" in log.abort_reason
+        assert log.t.size == 0
+        assert log.metrics == {"clamp_events": 0, "qp_relaxed_events": 0,
+                               "qp_faults": 0, "aborted": True}
 
 
 class TestMetrics:

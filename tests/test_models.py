@@ -9,9 +9,11 @@ from quadpend.models import (ControlCommand, PendulumHorizontalError,
                              PendulumParams, PendulumState, QuadState,
                              SingularAttitudeError, VehicleParams,
                              euler_rate_matrix, gravity_direction_map,
-                             mixer_forward, mixer_inverse, mixer_matrix,
-                             pendulum_derivative, pendulum_drift_and_coupling,
-                             pendulum_zeta, quad_derivative)
+                             coupled_derivative, mixer_forward,
+                             mixer_inverse, mixer_matrix,
+                             pendulum_drift_and_coupling, pendulum_zeta)
+
+from helpers import pendulum_accel
 
 P = VehicleParams()
 
@@ -137,14 +139,15 @@ class TestQuadDerivative:
         cmd = ControlCommand.from_rotor_commands(np.full(4, hover_u), P)
         s = QuadState(p=np.array([0.0, 0.0, -2.0]), v=np.zeros(3),
                       q=np.zeros(3), omega=np.zeros(3))
-        np.testing.assert_allclose(quad_derivative(s, cmd, P), np.zeros(12),
-                                   atol=1e-12)
+        np.testing.assert_allclose(
+            coupled_derivative(s.as_vector(), cmd.wrench, P), np.zeros(12),
+            atol=1e-12)
 
     def test_free_fall(self):
         cmd = ControlCommand.from_rotor_commands(np.zeros(4), P)
         s = QuadState(p=np.zeros(3), v=np.zeros(3), q=np.zeros(3),
                       omega=np.zeros(3))
-        dx = quad_derivative(s, cmd, P)
+        dx = coupled_derivative(s.as_vector(), cmd.wrench, P)
         np.testing.assert_allclose(dx[3:6], [0.0, 0.0, P.g], atol=1e-12)
 
     def test_gyroscopic_term(self):
@@ -153,7 +156,7 @@ class TestQuadDerivative:
         cmd = ControlCommand.from_wrench(np.array([0.0, 0.0, 0.0, 0.0]), P)
         w = np.array([1.0, 2.0, 3.0])
         s = QuadState(p=np.zeros(3), v=np.zeros(3), q=np.zeros(3), omega=w)
-        dx = quad_derivative(s, cmd, P)
+        dx = coupled_derivative(s.as_vector(), cmd.wrench, P)
         expected = np.cross(P.inertia * w, w) / P.inertia
         np.testing.assert_allclose(dx[9:12], expected, rtol=1e-12)
 
@@ -163,7 +166,7 @@ class TestQuadDerivative:
         w = np.array([0.1, -0.4, 0.2])
         s = QuadState(p=np.zeros(3), v=np.array([1.0, 2.0, 3.0]), q=q,
                       omega=w)
-        dx = quad_derivative(s, cmd, P)
+        dx = coupled_derivative(s.as_vector(), cmd.wrench, P)
         np.testing.assert_allclose(dx[0:3], s.v)
         np.testing.assert_allclose(dx[6:9], euler_rate_matrix(q) @ w)
 
@@ -172,7 +175,7 @@ class TestQuadDerivative:
         s = QuadState(p=np.zeros(3), v=np.zeros(3),
                       q=np.array([0.0, math.pi / 2, 0.0]), omega=np.zeros(3))
         with pytest.raises(SingularAttitudeError):
-            quad_derivative(s, cmd, P)
+            coupled_derivative(s.as_vector(), cmd.wrench, P)
 
 
 class TestControlCommand:
@@ -207,7 +210,7 @@ class TestPendulum:
 
     def test_upright_equilibrium(self):
         ps = PendulumState(0.0, 0.0, 0.0, 0.0)
-        acc = pendulum_derivative(ps, np.zeros(3), self.PP, P.g)
+        acc = pendulum_accel(ps, np.zeros(3), self.PP, P.g)
         np.testing.assert_allclose(acc, np.zeros(2), atol=1e-15)
 
     def test_coupling_at_origin(self):
@@ -218,7 +221,7 @@ class TestPendulum:
 
     def test_unit_forward_acceleration_at_origin(self):
         ps = PendulumState(0.0, 0.0, 0.0, 0.0)
-        acc = pendulum_derivative(ps, np.array([1.0, 0.0, 0.0]), self.PP, P.g)
+        acc = pendulum_accel(ps, np.array([1.0, 0.0, 0.0]), self.PP, P.g)
         np.testing.assert_allclose(acc, [-0.75, 0.0], atol=1e-15)
 
     def test_matches_independent_transcription(self):
@@ -231,7 +234,7 @@ class TestPendulum:
             a_dot, b_dot = rng.normal(scale=0.5, size=2)
             p_ddot = rng.normal(scale=3.0, size=3)
             ps = PendulumState(a, b, a_dot, b_dot)
-            acc = pendulum_derivative(ps, p_ddot, self.PP, P.g)
+            acc = pendulum_accel(ps, p_ddot, self.PP, P.g)
             want = _pendulum_oracle(a, b, a_dot, b_dot, L, P.g, p_ddot)
             np.testing.assert_allclose(acc, want, rtol=1e-10, atol=1e-10)
 
@@ -242,17 +245,17 @@ class TestPendulum:
             a, b = rng.uniform(-0.25, 0.25, size=2)
             ad, bd = rng.normal(scale=0.3, size=2)
             acc = rng.normal(scale=2.0, size=3)
-            d1 = pendulum_derivative(PendulumState(a, b, ad, bd), acc,
-                                     self.PP, P.g)
+            d1 = pendulum_accel(PendulumState(a, b, ad, bd), acc,
+                                self.PP, P.g)
             swapped = np.array([acc[1], acc[0], acc[2]])
-            d2 = pendulum_derivative(PendulumState(b, a, bd, ad), swapped,
-                                     self.PP, P.g)
+            d2 = pendulum_accel(PendulumState(b, a, bd, ad), swapped,
+                                self.PP, P.g)
             np.testing.assert_allclose(d1, d2[::-1], rtol=1e-12, atol=1e-12)
 
     def test_horizontal_raises(self):
         ps = PendulumState(0.5, 0.0, 0.0, 0.0)
         with pytest.raises(PendulumHorizontalError):
-            pendulum_derivative(ps, np.zeros(3), self.PP, P.g)
+            pendulum_accel(ps, np.zeros(3), self.PP, P.g)
 
 
 class TestQuadState:
