@@ -33,10 +33,18 @@ class ValidationError(Exception):
     pass
 
 
-def _key_line(text: str, key: str) -> int:
+def _key_line(text: str, dotted: str) -> int:
+    """Line of a top-level key, or of a section's key inside that section."""
+    section, _, key = dotted.rpartition(".")
+    block = ""  # the top-level key whose block holds the line
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0]
-        if stripped.strip().startswith(f"{key}:"):
+        line = line.split("#", 1)[0]
+        if line[:1].strip():  # not indented
+            block = line.split(":", 1)[0]
+            if not section and block == key:
+                return lineno
+        elif (section and block == section
+              and line.strip().startswith(f"{key}:")):
             return lineno
     return 0
 
@@ -46,7 +54,7 @@ def _check_keys(doc, schema, raw_text, path=""):
         return
     for key, value in doc.items():
         if key not in schema:
-            line = _key_line(raw_text, key)
+            line = _key_line(raw_text, f"{path}{key}")
             where = f" (line {line})" if line else ""
             raise ValidationError(f"unknown key '{path}{key}'{where}")
         sub = schema[key]
@@ -159,7 +167,10 @@ def apply_override(doc: dict, dotted: str, value):
 
 def load_scenarios(path: Path, overrides=(), seed=None):
     """Parse a scenario file into one Scenario per batch entry."""
-    raw = path.read_text()
+    try:
+        raw = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read {path.name}: {exc}") from exc
     try:
         doc = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
@@ -178,9 +189,11 @@ def load_scenarios(path: Path, overrides=(), seed=None):
         variants = []
         for i, entry in enumerate(batch):
             if not (isinstance(entry, dict)
-                    and isinstance(entry.get("set"), dict)):
+                    and isinstance(entry.get("set"), dict)
+                    and all(isinstance(k, str) for k in entry["set"])):
                 raise ValidationError(
-                    f"batch entry {i} must be a mapping with a 'set' mapping")
+                    f"batch entry {i} must be a mapping with a 'set' mapping "
+                    "of dotted string keys")
             suffix = str(entry.get("name", f"b{i}"))
             variants.append((entry["set"], f"-{suffix}"))
 

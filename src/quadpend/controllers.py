@@ -17,7 +17,7 @@ accelerations and attitude set-points for the inner loop.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,16 +49,6 @@ class OutputReference:
     y_d: np.ndarray
     y_d_dot: np.ndarray
     y_d_ddot: np.ndarray
-
-
-@dataclass(frozen=True)
-class AttitudeSetpoint:
-    """Desired Euler angles, their numeric derivatives, and thrust magnitude."""
-
-    q_d: np.ndarray
-    q_d_dot: np.ndarray
-    q_d_ddot: np.ndarray
-    f_zd_norm: float
 
 
 @dataclass(frozen=True)
@@ -98,7 +88,6 @@ class OutputClf:
 
     P: np.ndarray
     c3: float
-    Q: np.ndarray
     F: np.ndarray
     G: np.ndarray
 
@@ -108,7 +97,7 @@ def setup_output_clf(q_care=TrackingGains.q_care) -> OutputClf:
     Q = np.eye(8) * float(q_care) if np.isscalar(q_care) else np.asarray(q_care)
     P = solve_care(CareProblem(F=F, G=G, Q=Q))
     c3 = float(np.min(np.linalg.eigvalsh(Q)) / np.max(np.linalg.eigvalsh(P)))
-    return OutputClf(P=P, c3=c3, Q=Q, F=F, G=G)
+    return OutputClf(P=P, c3=c3, F=F, G=G)
 
 
 def _euler_rate_jacobian(q, omega):
@@ -221,7 +210,6 @@ def position_allocation(pos, vel, ref_pos, ref_vel, ref_acc, kp, kd,
 class QpReport:
     """Per-step CLF-QP diagnostics for the simulation log."""
 
-    feasible: bool = True
     relaxed: bool = False
     fault: bool = False
     slack: float = 0.0

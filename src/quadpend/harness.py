@@ -15,17 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import controllers as ctl
-from . import models, trajectories
+from . import models
 from .models import (ControlCommand, PENDULUM_MARGIN, PendulumHorizontalError,
                      PendulumParams, PendulumState, QuadState,
                      SingularAttitudeError, VehicleParams)
 from .numerics import (CareError, NonFiniteDerivativeError,
                        QpInfeasibleError, QpUnboundedError, rk4_step)
 from .trajectories import SetpointDifferentiator, TrajectorySpec, sample_trajectory
-
-CONTROLLER_KINDS = ("fbl-regulator", "fbl-tracker", "clf-qp",
-                    "pend-xi", "pend-xi-prime", "pend-lqr")
-PENDULUM_CONTROLLERS = ("pend-xi", "pend-xi-prime", "pend-lqr")
 
 MAX_CONSECUTIVE_FAULTS = 50
 
@@ -71,13 +67,13 @@ class Scenario:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self):
-        if self.controller not in CONTROLLER_KINDS:
+        if self.controller not in CONTROLLERS:
             raise ScenarioError(f"unknown controller {self.controller!r}")
         if not (0 < self.duration < math.inf and 0 < self.dt < math.inf):
             raise ScenarioError("duration and dt must be positive and finite")
         if self.seed < 0:
             raise ScenarioError("seed must be nonnegative")
-        if self.controller in PENDULUM_CONTROLLERS and self.pendulum is None:
+        if CONTROLLERS[self.controller].pendulum and self.pendulum is None:
             raise ScenarioError(
                 f"controller {self.controller!r} requires pendulum parameters")
         if self.pendulum is not None and self.initial_pend is None:
@@ -101,7 +97,6 @@ class SimLog:
     u: np.ndarray = None           # (N, 4)
     wrench: np.ndarray = None      # (N, 4)
     q_d: np.ndarray = None         # (N, 3)
-    f_zd_norm: np.ndarray = None   # (N,)
     ref_pos: np.ndarray = None     # (N, 3)
     ref_pend: np.ndarray = None    # (N, 2) or None
     cmd_accel: np.ndarray = None   # (N, 3)
@@ -121,92 +116,114 @@ class SimLog:
         self.abort_reason = reason
 
 
-class _Runner:
-    """State shared across steps of one scenario run."""
+# Each controller law looks up its ctl.<name> functions when it runs, so a
+# wrapper installed on quadpend.controllers (a profiler, a test) sees it.
 
-    def __init__(self, sc: Scenario):
-        self.sc = sc
-        self.p = sc.vehicle
-        self.pp = sc.pendulum
-        self.g = sc.vehicle.g
-        self.gains = sc.gains
-        self.diff = SetpointDifferentiator(sc.dt, dim=3)
-        self.clf = None
-        if sc.controller in ("fbl-regulator", "clf-qp"):
-            self.clf = ctl.setup_output_clf(sc.gains.q_care)
-        self.K_lqr = None
-        if sc.controller == "pend-lqr":
-            self.K_lqr = ctl.setup_pendulum_lqr(
-                self.g, self.pp.L, sc.gains.q_lqr, sc.gains.r_lqr)
-        self.rng = np.random.default_rng(sc.seed)
-        self.prev_cmd = None
-        self.consecutive_faults = 0
+def _no_design(sc):
+    return None
 
-    def outer_loop(self, x, refs):
-        """Attitude set-point and the altitude channel of the inner reference.
 
-        Returns (q_d, thrust_norm, z_ref) where z_ref = (z_d, z_d_dot,
-        z_d_ddot); pendulum controllers command vertical acceleration
-        directly by pinning the altitude PD terms to the current state.
-        """
-        sc, g, m = self.sc, self.g, self.p.m
-        pos, vel = x[0:3], x[3:6]
-        kp, kd = self.gains.kp, self.gains.kd
+def _output_clf(sc):
+    return ctl.setup_output_clf(sc.gains.q_care)
 
-        if sc.controller in ("fbl-regulator", "fbl-tracker", "clf-qp"):
-            _, q_d, thrust = ctl.position_allocation(
-                pos, vel, refs.pos, refs.pos_dot, refs.pos_ddot, kp, kd, g, m)
-            z_ref = (refs.pos[2], refs.pos_dot[2], refs.pos_ddot[2])
-            return q_d, thrust, z_ref
 
-        ps = PendulumState(x[12], x[13], x[14], x[15])
-        if sc.controller == "pend-xi":
-            xi = ctl.pendulum_fbl_xi(ps, refs.pend, refs.pend_dot,
-                                     refs.pend_ddot, self.pp, g,
-                                     self.gains.k1, self.gains.k2)
-            f_d = xi.copy()
-            f_d[2] -= g
-            q_d, thrust = ctl.attitude_from_force(f_d, m)
-            return q_d, thrust, (pos[2], vel[2], xi[2])
+def _pendulum_lqr(sc):
+    return ctl.setup_pendulum_lqr(sc.vehicle.g, sc.pendulum.L,
+                                  sc.gains.q_lqr, sc.gains.r_lqr)
 
-        if sc.controller == "pend-xi-prime":
-            z_acc = (refs.pos_ddot[2] + kd * (refs.pos_dot[2] - vel[2])
-                     + kp * (refs.pos[2] - pos[2]))
-            xi_p = ctl.pendulum_fbl_xi_prime(ps, z_acc, refs.pend,
-                                             refs.pend_dot, refs.pend_ddot,
-                                             self.pp, g,
-                                             self.gains.k1, self.gains.k2)
-            f_d = np.array([xi_p[0], xi_p[1], z_acc - g])
-            q_d, thrust = ctl.attitude_from_force(f_d, m)
-            return q_d, thrust, (pos[2], vel[2], z_acc)
 
-        # pend-lqr
-        eta_p = np.array([x[12], x[13], x[0], x[1],
-                          x[14], x[15], x[3], x[4]])
-        eta_ref = np.array([refs.pend[0], refs.pend[1],
-                            refs.pos[0], refs.pos[1],
-                            refs.pend_dot[0], refs.pend_dot[1],
-                            refs.pos_dot[0], refs.pos_dot[1]])
-        pt = ctl.pendulum_position_lqr(eta_p, eta_ref, self.K_lqr,
-                                       self.gains.attitude_clamp)
-        q_d = np.array([pt[0], pt[1], 0.0])
-        # Altitude runs through the outer PD, like the other pendulum
-        # controllers: a raw set-point step through the stiff inner gains
-        # would saturate all four rotors and forfeit attitude authority.
-        w_z = (refs.pos_ddot[2] + kd * (refs.pos_dot[2] - vel[2])
-               + kp * (refs.pos[2] - pos[2]))
-        thrust = m * abs(g - w_z) / max(math.cos(pt[0]) * math.cos(pt[1]), 0.5)
-        return q_d, thrust, (pos[2], vel[2], w_z)
+def _altitude_pd(sc, x, refs):
+    """Vertical acceleration demand of the outer position PD."""
+    kp, kd = sc.gains.kp, sc.gains.kd
+    return (refs.pos_ddot[2] + kd * (refs.pos_dot[2] - x[5])
+            + kp * (refs.pos[2] - x[2]))
 
-    def inner_loop(self, s: QuadState, ref: ctl.OutputReference):
-        """Rotor command from the selected inner controller plus QP report."""
-        sc = self.sc
-        if sc.controller == "fbl-regulator":
-            return ctl.fbl_regulator(s, ref.y_d, self.p, self.clf), ctl.QpReport()
-        if sc.controller == "clf-qp":
-            return ctl.clf_qp_controller(s, ref, self.p, self.clf)
-        return ctl.fbl_tracker(s, ref, self.p, self.gains.alpha1,
-                               self.gains.alpha2), ctl.QpReport()
+
+def _position_outer(sc, design, x, refs):
+    _, q_d, thrust = ctl.position_allocation(
+        x[0:3], x[3:6], refs.pos, refs.pos_dot, refs.pos_ddot,
+        sc.gains.kp, sc.gains.kd, sc.vehicle.g, sc.vehicle.m)
+    return q_d, thrust, (refs.pos[2], refs.pos_dot[2], refs.pos_ddot[2])
+
+
+# The pendulum laws command vertical acceleration directly: z_ref pins the
+# inner altitude PD terms to the current state.
+
+def _xi_outer(sc, design, x, refs):
+    g = sc.vehicle.g
+    xi = ctl.pendulum_fbl_xi(PendulumState(*x[12:16]), refs.pend,
+                             refs.pend_dot, refs.pend_ddot, sc.pendulum, g,
+                             sc.gains.k1, sc.gains.k2)
+    f_d = xi.copy()
+    f_d[2] -= g
+    q_d, thrust = ctl.attitude_from_force(f_d, sc.vehicle.m)
+    return q_d, thrust, (x[2], x[5], xi[2])
+
+
+def _xi_prime_outer(sc, design, x, refs):
+    g = sc.vehicle.g
+    z_acc = _altitude_pd(sc, x, refs)
+    xi_p = ctl.pendulum_fbl_xi_prime(PendulumState(*x[12:16]), z_acc,
+                                     refs.pend, refs.pend_dot, refs.pend_ddot,
+                                     sc.pendulum, g, sc.gains.k1, sc.gains.k2)
+    f_d = np.array([xi_p[0], xi_p[1], z_acc - g])
+    q_d, thrust = ctl.attitude_from_force(f_d, sc.vehicle.m)
+    return q_d, thrust, (x[2], x[5], z_acc)
+
+
+def _lqr_outer(sc, K, x, refs):
+    eta_p = x[[12, 13, 0, 1, 14, 15, 3, 4]]
+    eta_ref = np.concatenate([refs.pend, refs.pos[:2],
+                              refs.pend_dot, refs.pos_dot[:2]])
+    pt = ctl.pendulum_position_lqr(eta_p, eta_ref, K, sc.gains.attitude_clamp)
+    q_d = np.array([pt[0], pt[1], 0.0])
+    # Altitude runs through the outer PD, like the other pendulum
+    # controllers: a raw set-point step through the stiff inner gains
+    # would saturate all four rotors and forfeit attitude authority.
+    w_z = _altitude_pd(sc, x, refs)
+    thrust = (sc.vehicle.m * abs(sc.vehicle.g - w_z)
+              / max(math.cos(pt[0]) * math.cos(pt[1]), 0.5))
+    return q_d, thrust, (x[2], x[5], w_z)
+
+
+def _regulator_inner(sc, clf, s, ref):
+    return ctl.fbl_regulator(s, ref.y_d, sc.vehicle, clf), ctl.QpReport()
+
+
+def _clf_qp_inner(sc, clf, s, ref):
+    return ctl.clf_qp_controller(s, ref, sc.vehicle, clf)
+
+
+def _tracker_inner(sc, design, s, ref):
+    return ctl.fbl_tracker(s, ref, sc.vehicle, sc.gains.alpha1,
+                           sc.gains.alpha2), ctl.QpReport()
+
+
+@dataclass(frozen=True)
+class Controller:
+    """How one controller is built and stepped.
+
+    setup(sc) returns the run's design (the OutputClf, the LQR gain, or
+    None); outer(sc, design, x, refs) returns (q_d, thrust_norm, z_ref) with
+    z_ref = (z_d, z_d_dot, z_d_ddot); inner(sc, design, s, ref) returns the
+    rotor command and its QpReport.
+    """
+
+    setup: object
+    outer: object
+    inner: object
+    pendulum: bool = False  # needs pendulum parameters
+
+
+CONTROLLERS = {
+    "fbl-regulator": Controller(_output_clf, _position_outer, _regulator_inner),
+    "fbl-tracker": Controller(_no_design, _position_outer, _tracker_inner),
+    "clf-qp": Controller(_output_clf, _position_outer, _clf_qp_inner),
+    "pend-xi": Controller(_no_design, _xi_outer, _tracker_inner, True),
+    "pend-xi-prime": Controller(_no_design, _xi_prime_outer, _tracker_inner,
+                                True),
+    "pend-lqr": Controller(_pendulum_lqr, _lqr_outer, _tracker_inner, True),
+}
 
 
 def run_scenario(sc: Scenario) -> SimLog:
@@ -220,13 +237,18 @@ def run_scenario(sc: Scenario) -> SimLog:
         x = np.concatenate([x, sc.initial_pend.as_vector()])
 
     log = SimLog(scenario_name=sc.name, dt=sc.dt)
+    controller = CONTROLLERS[sc.controller]
+    diff = SetpointDifferentiator(sc.dt, dim=3)
     try:
-        runner = _Runner(sc)
+        design = controller.setup(sc)
     except CareError as exc:
         log.abort(0.0, f"controller synthesis failed: {exc}")
         steps = ()  # abort before the first row
+    rng = np.random.default_rng(sc.seed)
+    prev_cmd = None
+    consecutive_faults = 0
     rows = {k: [] for k in ("t", "quad", "pend", "u", "wrench", "q_d",
-                            "f_zd_norm", "ref_pos", "ref_pend", "cmd_accel",
+                            "ref_pos", "ref_pend", "cmd_accel",
                             "clamped", "qp_relaxed", "qp_fault")}
     u_min = np.asarray(p.u_min, dtype=float)
     u_max = np.asarray(p.u_max, dtype=float)
@@ -238,26 +260,26 @@ def run_scenario(sc: Scenario) -> SimLog:
         s = QuadState.from_vector(x[:12])
 
         try:
-            q_d, thrust, z_ref = runner.outer_loop(x, refs)
-            qd_dot, qd_ddot, _ = runner.diff.update(q_d)
+            q_d, thrust, z_ref = controller.outer(sc, design, x, refs)
+            qd_dot, qd_ddot, _ = diff.update(q_d)
             ref_out = ctl.OutputReference(
                 y_d=np.concatenate([[z_ref[0]], q_d]),
                 y_d_dot=np.concatenate([[z_ref[1]], qd_dot]),
                 y_d_ddot=np.concatenate([[z_ref[2]], qd_ddot]))
-            cmd, report = runner.inner_loop(s, ref_out)
-            runner.consecutive_faults = 0
+            cmd, report = controller.inner(sc, design, s, ref_out)
+            consecutive_faults = 0
         except (QpInfeasibleError, QpUnboundedError) as exc:
-            runner.consecutive_faults += 1
-            report = ctl.QpReport(feasible=False, fault=True)
+            consecutive_faults += 1
+            report = ctl.QpReport(fault=True)
             log.events.append((t, "qp_fault", str(exc)))
-            if runner.prev_cmd is None:
+            if prev_cmd is None:
                 hover = np.array([p.m * p.g, 0.0, 0.0, 0.0])
                 cmd = ControlCommand.from_wrench(hover, p)
             else:
-                cmd = runner.prev_cmd
+                cmd = prev_cmd
             q_d = np.zeros(3)
             thrust = cmd.f_z
-            if runner.consecutive_faults >= MAX_CONSECUTIVE_FAULTS:
+            if consecutive_faults >= MAX_CONSECUTIVE_FAULTS:
                 log.abort(t, "persistent QP infeasibility")
         except (SingularAttitudeError, PendulumHorizontalError,
                 ctl.PendulumCouplingError, ctl.AllocationError,
@@ -272,7 +294,7 @@ def run_scenario(sc: Scenario) -> SimLog:
             log.events.append((t, "clamp", "rotor command clamped"))
         if report.relaxed:
             log.events.append((t, "qp_relaxed", f"slack {report.slack:.3g}"))
-        runner.prev_cmd = cmd
+        prev_cmd = cmd
 
         cmd_accel = models.gravity_direction_map(q_d, p.m) * thrust
         cmd_accel[2] += p.g
@@ -285,7 +307,6 @@ def run_scenario(sc: Scenario) -> SimLog:
         rows["u"].append(cmd.u.copy())
         rows["wrench"].append(cmd.wrench.copy())
         rows["q_d"].append(q_d.copy())
-        rows["f_zd_norm"].append(thrust)
         rows["ref_pos"].append(refs.pos.copy())
         rows["cmd_accel"].append(cmd_accel)
         rows["clamped"].append(was_clamped)
@@ -296,9 +317,9 @@ def run_scenario(sc: Scenario) -> SimLog:
             break
 
         if sc.noise.enabled:
-            noise_acc = runner.rng.normal(
+            noise_acc = rng.normal(
                 0.0, sc.noise.accel_std * noise_scale, 3)
-            noise_ang = runner.rng.normal(
+            noise_ang = rng.normal(
                 0.0, sc.noise.ang_accel_std * noise_scale, 3)
         else:
             noise_acc = noise_ang = None
@@ -325,7 +346,6 @@ def run_scenario(sc: Scenario) -> SimLog:
     log.u = np.asarray(rows["u"])
     log.wrench = np.asarray(rows["wrench"])
     log.q_d = np.asarray(rows["q_d"])
-    log.f_zd_norm = np.asarray(rows["f_zd_norm"])
     log.ref_pos = np.asarray(rows["ref_pos"])
     log.cmd_accel = np.asarray(rows["cmd_accel"])
     log.clamped = np.asarray(rows["clamped"], dtype=bool)

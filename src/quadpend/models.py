@@ -112,14 +112,6 @@ class QuadState:
     def as_vector(self):
         return np.concatenate([self.p, self.v, self.q, self.omega])
 
-    def validate(self):
-        x = self.as_vector()
-        if not np.all(np.isfinite(x)):
-            raise ValueError("non-finite quadrotor state")
-        if abs(self.q[1]) >= math.pi / 2:
-            raise SingularAttitudeError(
-                f"pitch {self.q[1]:.4f} rad at or beyond +-pi/2")
-
 
 @dataclass(frozen=True)
 class PendulumState:
@@ -129,11 +121,6 @@ class PendulumState:
     b: float
     a_dot: float
     b_dot: float
-
-    @classmethod
-    def from_vector(cls, x):
-        return cls(a=float(x[0]), b=float(x[1]), a_dot=float(x[2]),
-                   b_dot=float(x[3]))
 
     def as_vector(self):
         return np.array([self.a, self.b, self.a_dot, self.b_dot])
@@ -181,10 +168,6 @@ class ControlCommand:
     @property
     def f_z(self):
         return float(self.wrench[0])
-
-    @property
-    def tau(self):
-        return self.wrench[1:4]
 
 
 def gravity_direction_map(q, m: float) -> np.ndarray:

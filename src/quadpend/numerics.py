@@ -1,5 +1,5 @@
-"""Numerical machinery: fixed-step integration, CARE, a dense QP solver,
-and a finite-difference linearizer.
+"""Numerical machinery: fixed-step RK4 integration, CARE, and a dense QP
+solver.
 
 The CARE solver uses the Hamiltonian invariant-subspace method (real Schur
 form with left-half-plane ordering) followed by a Kleinman-Newton refinement
@@ -10,7 +10,7 @@ The QP solver is a primal active-set method for small dense problems
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -37,18 +37,6 @@ class QpUnboundedError(RuntimeError):
     """QP objective is unbounded below along a feasible ray."""
 
 
-@dataclass(frozen=True)
-class StepperConfig:
-    dt: float = 1e-3
-    method: str = "rk4"  # "rk4" or "euler"
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.method not in ("rk4", "euler"):
-            raise ValueError(f"unknown stepper method {self.method!r}")
-
-
 def rk4_step(deriv, x, dt, t=None):
     """One classical fourth-order Runge-Kutta step of x' = deriv(x)."""
     x = np.asarray(x, dtype=float)
@@ -57,16 +45,6 @@ def rk4_step(deriv, x, dt, t=None):
     k3 = np.asarray(deriv(x + 0.5 * dt * k2))
     k4 = np.asarray(deriv(x + dt * k3))
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        when = "" if t is None else f" at t = {t:.6g} s"
-        raise NonFiniteDerivativeError(f"non-finite derivative{when}")
-    return out
-
-
-def euler_step(deriv, x, dt, t=None):
-    """One explicit Euler step; kept for integrator cross-checks."""
-    x = np.asarray(x, dtype=float)
-    out = x + dt * np.asarray(deriv(x))
     if not np.all(np.isfinite(out)):
         when = "" if t is None else f" at t = {t:.6g} s"
         raise NonFiniteDerivativeError(f"non-finite derivative{when}")
@@ -197,9 +175,6 @@ class QpResult:
     multipliers: np.ndarray  # one per constraint row, zero if inactive
     iterations: int
 
-    def objective(self, prob: QpProblem) -> float:
-        return float(0.5 * self.x @ prob.H @ self.x + prob.f @ self.x)
-
 
 def _feasible_start(A, b, n, tol):
     """Point satisfying Ax <= b, via phase-1 LP when the origin fails."""
@@ -221,19 +196,17 @@ def _feasible_start(A, b, n, tol):
     return res.x[:n]
 
 
-def solve_qp(prob: QpProblem, x0=None, max_iter=200) -> QpResult:
+QP_MAX_ITER = 200
+
+
+def solve_qp(prob: QpProblem) -> QpResult:
     """Primal active-set solution of a small dense convex QP."""
     H, f, A, b = prob.H, prob.f, prob.A_ineq, prob.b_ineq
     n = H.shape[0]
     k = A.shape[0]
     tol = 1e-10
 
-    if x0 is not None:
-        x = np.asarray(x0, dtype=float).copy()
-        if k and not np.all(A @ x <= b + 1e-9):
-            x = _feasible_start(A, b, n, tol)
-    else:
-        x = _feasible_start(A, b, n, tol)
+    x = _feasible_start(A, b, n, tol)
 
     work = [i for i in range(k) if A[i] @ x >= b[i] - 1e-9]
     # Keep the working set linearly independent.
@@ -241,7 +214,7 @@ def solve_qp(prob: QpProblem, x0=None, max_iter=200) -> QpResult:
         work = work[:n]
 
     lam_full = np.zeros(k)
-    for it in range(1, max_iter + 1):
+    for it in range(1, QP_MAX_ITER + 1):
         Aw = A[work] if work else np.zeros((0, n))
         grad = H @ x + f
         m = len(work)
@@ -300,33 +273,3 @@ def solve_qp(prob: QpProblem, x0=None, max_iter=200) -> QpResult:
             work.append(blocker)
 
     raise RuntimeError("active-set QP did not converge")
-
-
-def linearize(f, x0, u0, eps=1e-5):
-    """Central finite-difference Jacobians (A, B) of xdot = f(x, u)."""
-    x0 = np.asarray(x0, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    n = x0.size
-    m = u0.size
-    f0 = np.asarray(f(x0, u0), dtype=float)
-    A = np.zeros((f0.size, n))
-    B = np.zeros((f0.size, m))
-    for j in range(n):
-        dx = np.zeros(n)
-        dx[j] = eps
-        hi = np.asarray(f(x0 + dx, u0), dtype=float)
-        lo = np.asarray(f(x0 - dx, u0), dtype=float)
-        col = (hi - lo) / (2.0 * eps)
-        if not np.all(np.isfinite(col)):
-            raise NonFiniteDerivativeError(f"non-finite sample in state column {j}")
-        A[:, j] = col
-    for j in range(m):
-        du = np.zeros(m)
-        du[j] = eps
-        hi = np.asarray(f(x0, u0 + du), dtype=float)
-        lo = np.asarray(f(x0, u0 - du), dtype=float)
-        col = (hi - lo) / (2.0 * eps)
-        if not np.all(np.isfinite(col)):
-            raise NonFiniteDerivativeError(f"non-finite sample in input column {j}")
-        B[:, j] = col
-    return A, B

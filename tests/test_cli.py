@@ -14,7 +14,7 @@ from quadpend.cli import (CSV_BASE_COLUMNS, CSV_FLAG_COLUMNS, EXIT_ABORT,
                           EXIT_OK, EXIT_VALIDATION, main, scenario_schema,
                           shipped_scenarios)
 from quadpend.controllers import TrackingGains
-from quadpend.harness import NoiseSpec
+from quadpend.harness import CONTROLLERS, NoiseSpec
 
 HOVER = """\
 name: hover-test
@@ -73,6 +73,14 @@ class TestValidate:
         err = capsys.readouterr().err
         assert rc == EXIT_VALIDATION
         assert "trajectory.speed" in err
+        assert f"line {text.splitlines().index('  speed: 2.0') + 1}" in err
+        # The line is looked up in the key's own section, not at the first
+        # "kind:" of the file (trajectory.kind).
+        text = HOVER + "  kind: 3\n"
+        rc = main(["validate", write(tmp_path, text)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert f"'initial.kind' (line {len(text.splitlines())})" in err
 
     def test_bad_value_rejected(self, tmp_path, capsys):
         rc = main(["validate", write(tmp_path, HOVER.replace(
@@ -80,8 +88,14 @@ class TestValidate:
         assert rc == EXIT_VALIDATION
         assert "zigzag" in capsys.readouterr().err
 
-    def test_missing_file(self, capsys):
+    def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "no-such.scn"]) == EXIT_VALIDATION
+        # A path that exists but is not a text file.
+        (tmp_path / "dir.scn").mkdir()
+        (tmp_path / "binary.scn").write_bytes(b"\xff\xfe\x00")
+        for name in ("dir.scn", "binary.scn"):
+            assert main(["validate", str(tmp_path / name)]) == EXIT_VALIDATION
+            assert f"cannot read {name}" in capsys.readouterr().err
 
     def test_bad_override_key(self, tmp_path, capsys):
         rc = main(["validate", write(tmp_path, HOVER),
@@ -263,6 +277,13 @@ batch:
     def test_malformed_batch_rejected(self, tmp_path, capsys):
         rc = main(["validate", write(tmp_path, HOVER + "batch:\n  - 3\n")])
         assert rc == EXIT_VALIDATION
+        rc = main(["validate", write(tmp_path, HOVER + """\
+batch:
+  - set: {gains.kp: 5.0}
+  - set: {1: 2}
+""")])
+        assert rc == EXIT_VALIDATION
+        assert "batch entry 1" in capsys.readouterr().err
 
 
 class TestListScenarios:
@@ -308,7 +329,18 @@ def test_adversarial_values_end_in_an_exit_code(sets):
 
 def test_readme_scenario_block_matches_schema():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    doc = yaml.safe_load(readme.split("```yaml\n", 1)[1].split("```", 1)[0])
+    block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    doc = yaml.safe_load(block)
+    # The controller names in the comment of the controller: line and of
+    # the comment lines that continue it.
+    lines = block.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("controller:"))
+    comment = lines[i].split("#", 1)[1]
+    for line in lines[i + 1:]:
+        if not line.lstrip().startswith("#"):
+            break
+        comment += line.split("#", 1)[1]
+    assert [n.strip() for n in comment.split("|")] == list(CONTROLLERS)
     schema = scenario_schema()
     assert set(doc) == set(schema)
     for section, keys in schema.items():

@@ -18,9 +18,9 @@ from quadpend.models import (ControlCommand, PendulumParams, PendulumState,
                              QuadState, VehicleParams, coupled_derivative,
                              euler_rate_matrix, gravity_direction_map,
                              pendulum_drift_and_coupling)
-from quadpend.numerics import linearize, rk4_step
+from quadpend.numerics import rk4_step
 
-from helpers import pendulum_accel
+from helpers import linearize, pendulum_accel
 
 P = VehicleParams()
 PP = PendulumParams()
@@ -91,7 +91,7 @@ class TestFblRegulator:
         clf = setup_output_clf()
         cmd = fbl_regulator(hover_state(), self.Y_D, P, clf)
         assert cmd.f_z == pytest.approx(P.m * P.g, abs=1e-12)
-        np.testing.assert_allclose(cmd.tau, 0.0, atol=1e-12)
+        np.testing.assert_allclose(cmd.wrench[1:4], 0.0, atol=1e-12)
 
     def _simulate_step_response(self, clf, duration=8.0, dt=1e-3):
         x = hover_state(p_z=-1.0).as_vector()
@@ -134,7 +134,7 @@ class TestFblTracker:
                               y_d_dot=np.zeros(4), y_d_ddot=np.zeros(4))
         cmd = fbl_tracker(hover_state(), ref, P)
         assert cmd.f_z == pytest.approx(P.m * P.g, abs=1e-12)
-        np.testing.assert_allclose(cmd.tau, 0.0, atol=1e-12)
+        np.testing.assert_allclose(cmd.wrench[1:4], 0.0, atol=1e-12)
 
     def test_critically_damped_envelope(self):
         # alpha1 = 25, alpha2 = 10 make each output error follow
@@ -225,7 +225,7 @@ class TestClfQp:
                               y_d_dot=np.zeros(4), y_d_ddot=np.zeros(4))
         cmd, report = clf_qp_controller(hover_state(), ref, P, clf)
         assert cmd.f_z == pytest.approx(P.m * P.g, abs=1e-10)
-        np.testing.assert_allclose(cmd.tau, 0.0, atol=1e-10)
+        np.testing.assert_allclose(cmd.wrench[1:4], 0.0, atol=1e-10)
         assert not report.relaxed and not report.fault
 
     def test_commands_within_bounds_and_clf_decrease(self):

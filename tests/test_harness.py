@@ -1,13 +1,15 @@
 """Tests for the simulation harness, metrics, and event bookkeeping."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import quadpend.controllers as ctl
 from quadpend.controllers import TrackingGains
-from quadpend.harness import (MAX_CONSECUTIVE_FAULTS, NoiseSpec, Scenario,
-                              ScenarioError, compute_metrics,
+from quadpend.harness import (CONTROLLERS, MAX_CONSECUTIVE_FAULTS, NoiseSpec,
+                              Scenario, ScenarioError, compute_metrics,
                               count_overshoots, rms, run_scenario,
                               settling_time)
 from quadpend.models import (PendulumParams, PendulumState, QuadState,
@@ -64,6 +66,42 @@ class TestScenarioValidation:
     def test_pendulum_initial_defaults_upright(self):
         sc = hover_scenario(controller="pend-xi", pendulum=PendulumParams())
         assert sc.initial_pend == PendulumState(0.0, 0.0, 0.0, 0.0)
+
+
+# The quadpend.controllers functions each bundled controller reaches:
+# set-up, outer loop and inner loop.
+REACHES = {
+    "fbl-regulator": ("setup_output_clf", "position_allocation",
+                      "attitude_from_force", "fbl_regulator"),
+    "fbl-tracker": ("position_allocation", "attitude_from_force",
+                    "fbl_tracker"),
+    "clf-qp": ("setup_output_clf", "position_allocation",
+               "attitude_from_force", "clf_qp_controller"),
+    "pend-xi": ("pendulum_fbl_xi", "attitude_from_force", "fbl_tracker"),
+    "pend-xi-prime": ("pendulum_fbl_xi_prime", "attitude_from_force",
+                      "fbl_tracker"),
+    "pend-lqr": ("setup_pendulum_lqr", "pendulum_position_lqr",
+                 "fbl_tracker"),
+}
+INNER = ("fbl_regulator", "fbl_tracker", "clf_qp_controller")
+
+
+@pytest.mark.parametrize("name", list(CONTROLLERS))
+def test_controller_reaches_controllers_at_call_time(name, monkeypatch):
+    # Wrappers installed on quadpend.controllers after import, as a
+    # profiler installs them, must see every call of a table entry.
+    calls = Counter()
+    for fn in {f for names in REACHES.values() for f in names}:
+        def counted(*args, _fn=fn, _real=getattr(ctl, fn), **kwargs):
+            calls[_fn] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(ctl, fn, counted)
+    pend = PendulumParams() if CONTROLLERS[name].pendulum else None
+    log = run_scenario(hover_scenario(controller=name, pendulum=pend,
+                                      duration=0.005))
+    assert not log.aborted and log.t.size == 6
+    assert any(calls[f] == 6 for f in INNER)
+    assert set(calls) == set(REACHES.get(name, calls))
 
 
 class TestHoverInvariance:

@@ -1,4 +1,4 @@
-"""Tests for the integrators, CARE solver, QP solver, and linearization."""
+"""Tests for the RK4 integrator, CARE solver, QP solver, and linearization."""
 
 import itertools
 import math
@@ -8,9 +8,10 @@ import pytest
 
 from quadpend.numerics import (CareError, CareProblem, NonFiniteDerivativeError,
                                QpInfeasibleError, QpProblem, QpResult,
-                               QpUnboundedError, StepperConfig, care_residual,
-                               euler_step, linearize, rk4_step, solve_care,
-                               solve_qp)
+                               QpUnboundedError, care_residual, rk4_step,
+                               solve_care, solve_qp)
+
+from helpers import linearize
 
 
 class TestSteppers:
@@ -51,17 +52,6 @@ class TestSteppers:
         for e0, e1 in zip(errs, errs[1:]):
             assert 16.0 * 0.8 < e0 / e1 < 16.0 * 1.2
 
-    def test_euler_first_order(self):
-        errs = []
-        for dt in (0.01, 0.005):
-            x = np.array([1.0])
-            t = 0.0
-            while t < 1.0 - 1e-12:
-                x = euler_step(lambda x: x, x, dt)
-                t += dt
-            errs.append(abs(x[0] - math.e))
-        assert 1.8 < errs[0] / errs[1] < 2.2
-
     def test_nonfinite_derivative_raises(self):
         with pytest.raises(NonFiniteDerivativeError):
             rk4_step(lambda x: np.array([np.inf]), np.array([1.0]), 0.1)
@@ -70,12 +60,6 @@ class TestSteppers:
         with pytest.raises(NonFiniteDerivativeError, match="t = 2.5"):
             rk4_step(lambda x: np.array([np.nan]), np.array([1.0]), 0.1,
                      t=2.5)
-
-    def test_stepper_config_validation(self):
-        with pytest.raises(ValueError):
-            StepperConfig(dt=0.0)
-        with pytest.raises(ValueError):
-            StepperConfig(dt=1e-3, method="rk5")
 
 
 class TestCare:
