@@ -9,18 +9,20 @@ written).
 
 import argparse
 import concurrent.futures
+import copy
 import json
 import math
 import sys
 from dataclasses import fields, is_dataclass
 from importlib import resources
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from .controllers import TrackingGains
-from .harness import NoiseSpec, Scenario, SimLog, run_scenario
+from .harness import SERIES, NoiseSpec, Scenario, SimLog, run_scenario
 from .models import PendulumParams, PendulumState, QuadState, VehicleParams
 from .trajectories import TrajectorySpec
 
@@ -199,7 +201,7 @@ def load_scenarios(path: Path, overrides=(), seed=None):
 
     scenarios = []
     for sets, suffix in variants:
-        vdoc = yaml.safe_load(yaml.safe_dump(doc))  # deep copy
+        vdoc = copy.deepcopy(doc)
         for dotted, value in sets.items():
             apply_override(vdoc, dotted, value)
         for dotted, value in overrides:
@@ -220,69 +222,46 @@ def load_scenarios(path: Path, overrides=(), seed=None):
     return scenarios
 
 
-CSV_BASE_COLUMNS = [
-    "t", "p_X", "p_Y", "p_Z", "v_X", "v_Y", "v_Z", "phi", "theta", "psi",
-    "w_x", "w_y", "w_z", "a", "b", "a_dot", "b_dot",
-    "u1", "u2", "u3", "u4", "f_z", "tau_x", "tau_y", "tau_z",
-    "phi_d", "theta_d", "psi_d", "p_Xd", "p_Yd", "p_Zd",
-]
-CSV_PEND_REF_COLUMNS = ["a_d", "b_d"]
-CSV_FLAG_COLUMNS = ["clamped", "qp_relaxed", "qp_fault"]
+def _emitted(log: SimLog):
+    """(name, series, values) per emitted series; flags become 0/1 ints."""
+    for name, series in SERIES.items():
+        a = getattr(log, name)
+        if a is not None and series.dtype is bool:
+            a = a.astype(int)
+        yield name, series, a
 
 
 def csv_columns(log: SimLog):
-    cols = list(CSV_BASE_COLUMNS)
-    if log.ref_pend is not None:
-        cols += CSV_PEND_REF_COLUMNS
-    return cols + CSV_FLAG_COLUMNS
+    return [c for name, series in SERIES.items()
+            if series.blank or getattr(log, name) is not None
+            for c in series.columns]
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _csv_cells(log: SimLog):
+    """Per CSV series, an iterator over each row's cells: each value's repr."""
+    for _, series, a in _emitted(log):
+        width = len(series.columns)
+        if a is not None:
+            yield (map(repr, row.tolist()) for row in a.reshape(len(a), width))
+        elif series.blank:
+            yield repeat([""] * width)
 
 
 def emit_log(log: SimLog, fmt: str, out_dir: Path):
     """Write the time series and the metrics file; returns the paths."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    has_pend = log.pend is not None
     cols = csv_columns(log)
 
     series_path = out_dir / f"{log.scenario_name}.{fmt}"
     if fmt == "csv":
-        lines = [",".join(cols)]
-        for i in range(log.t.size):
-            row = [_fmt(log.t[i])]
-            row += [_fmt(v) for v in log.quad[i]]
-            if has_pend:
-                row += [_fmt(v) for v in log.pend[i]]
-            else:
-                row += [""] * 4
-            row += [_fmt(v) for v in log.u[i]]
-            row += [_fmt(v) for v in log.wrench[i]]
-            row += [_fmt(v) for v in log.q_d[i]]
-            row += [_fmt(v) for v in log.ref_pos[i]]
-            if log.ref_pend is not None:
-                row += [_fmt(v) for v in log.ref_pend[i]]
-            row += [str(int(log.clamped[i])), str(int(log.qp_relaxed[i])),
-                    str(int(log.qp_fault[i]))]
-            lines.append(",".join(row))
-        series_path.write_text("\n".join(lines) + "\n")
+        with series_path.open("w") as fh:  # row by row, to bound memory
+            fh.write(",".join(cols) + "\n")
+            for cells in zip(*_csv_cells(log)):
+                fh.write(",".join(chain.from_iterable(cells)) + "\n")
     else:
-        payload = {
-            "scenario": log.scenario_name,
-            "columns": cols,
-            "t": log.t.tolist(),
-            "quad": log.quad.tolist(),
-            "pend": log.pend.tolist() if has_pend else None,
-            "u": log.u.tolist(),
-            "wrench": log.wrench.tolist(),
-            "q_d": log.q_d.tolist(),
-            "ref_pos": log.ref_pos.tolist(),
-            "ref_pend": log.ref_pend.tolist() if log.ref_pend is not None else None,
-            "clamped": log.clamped.astype(int).tolist(),
-            "qp_relaxed": log.qp_relaxed.astype(int).tolist(),
-            "qp_fault": log.qp_fault.astype(int).tolist(),
-        }
+        payload = {"scenario": log.scenario_name, "columns": cols}
+        for name, _, a in _emitted(log):
+            payload[name] = None if a is None else a.tolist()
         series_path.write_text(json.dumps(payload, sort_keys=True))
 
     metrics = dict(log.metrics)

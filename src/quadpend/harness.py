@@ -20,7 +20,7 @@ from .models import (ControlCommand, PENDULUM_MARGIN, PendulumHorizontalError,
                      PendulumParams, PendulumState, QuadState,
                      SingularAttitudeError, VehicleParams)
 from .numerics import (CareError, NonFiniteDerivativeError,
-                       QpInfeasibleError, QpUnboundedError, rk4_step)
+                       QpInfeasibleError, rk4_step)
 from .trajectories import SetpointDifferentiator, TrajectorySpec, sample_trajectory
 
 MAX_CONSECUTIVE_FAULTS = 50
@@ -114,6 +114,35 @@ class SimLog:
         self.aborted = True
         self.abort_time = t
         self.abort_reason = reason
+
+
+@dataclass(frozen=True)
+class Series:
+    """One emitted SimLog series: its CSV column names, in order."""
+
+    columns: tuple
+    dtype: type = float
+    pendulum: bool = False  # None without a pendulum
+    blank: bool = False     # without a pendulum its CSV cells stay, empty
+
+
+# The emitted SimLog series in CSV order; the JSON keys are their names.  A
+# one-column series is (N,), the others (N, columns).  cmd_accel is logged
+# for the metrics only.
+SERIES = {
+    "t": Series(("t",)),
+    "quad": Series(("p_X", "p_Y", "p_Z", "v_X", "v_Y", "v_Z",
+                    "phi", "theta", "psi", "w_x", "w_y", "w_z")),
+    "pend": Series(("a", "b", "a_dot", "b_dot"), pendulum=True, blank=True),
+    "u": Series(("u1", "u2", "u3", "u4")),
+    "wrench": Series(("f_z", "tau_x", "tau_y", "tau_z")),
+    "q_d": Series(("phi_d", "theta_d", "psi_d")),
+    "ref_pos": Series(("p_Xd", "p_Yd", "p_Zd")),
+    "ref_pend": Series(("a_d", "b_d"), pendulum=True),
+    "clamped": Series(("clamped",), bool),
+    "qp_relaxed": Series(("qp_relaxed",), bool),
+    "qp_fault": Series(("qp_fault",), bool),
+}
 
 
 # Each controller law looks up its ctl.<name> functions when it runs, so a
@@ -238,18 +267,22 @@ def run_scenario(sc: Scenario) -> SimLog:
 
     log = SimLog(scenario_name=sc.name, dt=sc.dt)
     controller = CONTROLLERS[sc.controller]
-    diff = SetpointDifferentiator(sc.dt, dim=3)
+    diff = SetpointDifferentiator(sc.dt)
     try:
         design = controller.setup(sc)
     except CareError as exc:
         log.abort(0.0, f"controller synthesis failed: {exc}")
         steps = ()  # abort before the first row
+    for name, series in SERIES.items():
+        if sc.has_pendulum or not series.pendulum:
+            width = len(series.columns)
+            shape = (len(steps),) if width == 1 else (len(steps), width)
+            setattr(log, name, np.empty(shape, series.dtype))
+    log.cmd_accel = np.empty((len(steps), 3))
+    rows = 0  # rows written
     rng = np.random.default_rng(sc.seed)
     prev_cmd = None
     consecutive_faults = 0
-    rows = {k: [] for k in ("t", "quad", "pend", "u", "wrench", "q_d",
-                            "ref_pos", "ref_pend", "cmd_accel",
-                            "clamped", "qp_relaxed", "qp_fault")}
     u_min = np.asarray(p.u_min, dtype=float)
     u_max = np.asarray(p.u_max, dtype=float)
     noise_scale = math.sqrt(sc.noise.dt_ref / sc.dt) if sc.noise.enabled else 0.0
@@ -261,14 +294,14 @@ def run_scenario(sc: Scenario) -> SimLog:
 
         try:
             q_d, thrust, z_ref = controller.outer(sc, design, x, refs)
-            qd_dot, qd_ddot, _ = diff.update(q_d)
+            qd_dot, qd_ddot = diff.update(q_d)
             ref_out = ctl.OutputReference(
                 y_d=np.concatenate([[z_ref[0]], q_d]),
                 y_d_dot=np.concatenate([[z_ref[1]], qd_dot]),
                 y_d_ddot=np.concatenate([[z_ref[2]], qd_ddot]))
             cmd, report = controller.inner(sc, design, s, ref_out)
             consecutive_faults = 0
-        except (QpInfeasibleError, QpUnboundedError) as exc:
+        except QpInfeasibleError as exc:
             consecutive_faults += 1
             report = ctl.QpReport(fault=True)
             log.events.append((t, "qp_fault", str(exc)))
@@ -299,19 +332,20 @@ def run_scenario(sc: Scenario) -> SimLog:
         cmd_accel = models.gravity_direction_map(q_d, p.m) * thrust
         cmd_accel[2] += p.g
 
-        rows["t"].append(t)
-        rows["quad"].append(x[:12].copy())
+        log.t[i] = t
+        log.quad[i] = x[:12]
         if sc.has_pendulum:
-            rows["pend"].append(x[12:16].copy())
-            rows["ref_pend"].append(refs.pend.copy())
-        rows["u"].append(cmd.u.copy())
-        rows["wrench"].append(cmd.wrench.copy())
-        rows["q_d"].append(q_d.copy())
-        rows["ref_pos"].append(refs.pos.copy())
-        rows["cmd_accel"].append(cmd_accel)
-        rows["clamped"].append(was_clamped)
-        rows["qp_relaxed"].append(report.relaxed)
-        rows["qp_fault"].append(report.fault)
+            log.pend[i] = x[12:16]
+            log.ref_pend[i] = refs.pend
+        log.u[i] = cmd.u
+        log.wrench[i] = cmd.wrench
+        log.q_d[i] = q_d
+        log.ref_pos[i] = refs.pos
+        log.cmd_accel[i] = cmd_accel
+        log.clamped[i] = was_clamped
+        log.qp_relaxed[i] = report.relaxed
+        log.qp_fault[i] = report.fault
+        rows = i + 1
 
         if log.aborted or i == n_steps:
             break
@@ -341,19 +375,10 @@ def run_scenario(sc: Scenario) -> SimLog:
                 log.abort(t + sc.dt, "pendulum approached horizontal")
                 break
 
-    log.t = np.asarray(rows["t"])
-    log.quad = np.asarray(rows["quad"])
-    log.u = np.asarray(rows["u"])
-    log.wrench = np.asarray(rows["wrench"])
-    log.q_d = np.asarray(rows["q_d"])
-    log.ref_pos = np.asarray(rows["ref_pos"])
-    log.cmd_accel = np.asarray(rows["cmd_accel"])
-    log.clamped = np.asarray(rows["clamped"], dtype=bool)
-    log.qp_relaxed = np.asarray(rows["qp_relaxed"], dtype=bool)
-    log.qp_fault = np.asarray(rows["qp_fault"], dtype=bool)
-    if sc.has_pendulum:
-        log.pend = np.asarray(rows["pend"])
-        log.ref_pend = np.asarray(rows["ref_pend"])
+    for name in (*SERIES, "cmd_accel"):
+        a = getattr(log, name)
+        if a is not None:
+            setattr(log, name, a[:rows])
     log.metrics = compute_metrics(log)
     return log
 
@@ -365,18 +390,17 @@ def rms(x):
     return float(np.sqrt(np.mean(x * x)))
 
 
-def settling_time(err, dt, band=0.02, reference=None):
-    """First time after which |err| stays within band * reference forever.
+def settling_time(err, dt, band=0.02):
+    """First time after which |err| stays within band * |err[0]| forever.
 
-    reference defaults to |err[0]|; returns None when never settled.
+    Returns None when never settled.
     """
     err = np.abs(np.asarray(err, dtype=float))
     if err.size == 0:
         raise ValueError("empty series")
-    ref = abs(err[0]) if reference is None else abs(reference)
-    if ref == 0:
+    if err[0] == 0:
         return 0.0
-    thresh = band * ref
+    thresh = band * err[0]
     outside = np.where(err > thresh)[0]
     if outside.size == 0:
         return 0.0
@@ -399,14 +423,14 @@ def count_overshoots(x):
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
-def compute_metrics(log: SimLog, tail_frac=0.5) -> dict:
-    """Summary metrics over the tail window [tail_frac * T, T]."""
+def compute_metrics(log: SimLog) -> dict:
+    """Summary metrics; the RMS errors cover the second half of the run."""
     n = log.t.size
     if n == 0:
         # Aborted before the first row: there is nothing to summarise.
         return {"clamp_events": 0, "qp_relaxed_events": 0, "qp_faults": 0,
                 "aborted": bool(log.aborted)}
-    i0 = int(math.floor(tail_frac * (n - 1)))
+    i0 = int(math.floor(0.5 * (n - 1)))
     err = log.quad[:, 0:3] - log.ref_pos
     m = {
         "rms_err_x": rms(err[i0:, 0]),

@@ -5,8 +5,8 @@ The CARE solver uses the Hamiltonian invariant-subspace method (real Schur
 form with left-half-plane ordering) followed by a Kleinman-Newton refinement
 pass so the residual contract holds even on marginally conditioned problems.
 
-The QP solver is a primal active-set method for small dense problems
-(inequality constraints only, convention A_ineq @ x <= b_ineq).
+The QP solver is a primal active-set method for small dense strictly convex
+problems (inequality constraints only, convention A_ineq @ x <= b_ineq).
 """
 
 import math
@@ -31,10 +31,6 @@ class QpInfeasibleError(RuntimeError):
     def __init__(self, msg, violated_rows=()):
         super().__init__(msg)
         self.violated_rows = tuple(violated_rows)
-
-
-class QpUnboundedError(RuntimeError):
-    """QP objective is unbounded below along a feasible ray."""
 
 
 def rk4_step(deriv, x, dt, t=None):
@@ -140,7 +136,7 @@ def solve_care(prob: CareProblem) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QpProblem:
-    """min 1/2 x'Hx + f'x  s.t.  A_ineq @ x <= b_ineq."""
+    """min 1/2 x'Hx + f'x  s.t.  A_ineq @ x <= b_ineq, H positive definite."""
 
     H: np.ndarray
     f: np.ndarray
@@ -155,6 +151,8 @@ class QpProblem:
             raise ValueError("H must be square")
         if f.shape != (n,):
             raise ValueError("f length must match H")
+        if not (np.allclose(H, H.T) and np.linalg.eigvalsh(H).min() > 0):
+            raise ValueError("H must be symmetric positive definite")
         A = self.A_ineq
         b = self.b_ineq
         if A is None:
@@ -200,7 +198,7 @@ QP_MAX_ITER = 200
 
 
 def solve_qp(prob: QpProblem) -> QpResult:
-    """Primal active-set solution of a small dense convex QP."""
+    """Primal active-set solution of a small dense strictly convex QP."""
     H, f, A, b = prob.H, prob.f, prob.A_ineq, prob.b_ineq
     n = H.shape[0]
     k = A.shape[0]
@@ -225,19 +223,8 @@ def solve_qp(prob: QpProblem) -> QpResult:
             consistent = np.all(np.isfinite(sol))
         except np.linalg.LinAlgError:
             consistent = False
-        if not consistent:
+        if not consistent:  # a dependent working set
             sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-            if np.linalg.norm(KKT @ sol - rhs) > 1e-8 * (1 + np.linalg.norm(rhs)):
-                # The gradient has a component in the common null space of H
-                # and the working constraints: a feasible descent ray unless
-                # an inactive constraint blocks it.
-                null = scipy.linalg.null_space(np.vstack([H, Aw]))
-                d = -null @ (null.T @ grad)
-                others = [i for i in range(k) if i not in work]
-                if not others or np.all(A[others] @ d <= tol):
-                    raise QpUnboundedError(
-                        "objective unbounded along feasible ray")
-                sol = np.concatenate([d, np.zeros(m)])
         p = sol[:n]
         lam = sol[n:]
 
@@ -250,12 +237,6 @@ def solve_qp(prob: QpProblem) -> QpResult:
                                 multipliers=lam_full, iterations=it)
             work.pop(int(np.argmin(lam)))
             continue
-
-        # Unbounded descent is only possible with singular H.
-        if np.linalg.norm(H @ p) <= 1e-12 and grad @ p < -1e-12:
-            others = [i for i in range(k) if i not in work]
-            if not others or np.all(A[others] @ p <= tol):
-                raise QpUnboundedError("objective unbounded along feasible ray")
 
         alpha = 1.0
         blocker = None

@@ -129,14 +129,13 @@ class SetpointDifferentiator:
     Single-consumer stream: push one sample per control step at uniform
     spacing dt.  Returns first-order differences once two samples exist and
     second-order backward differences plus the three-point second-derivative
-    stencil once three do.  The first two steps are flagged as startup.
+    stencil once three do; until then the missing derivatives are zero.
     """
 
-    def __init__(self, dt: float, dim: int = 3):
+    def __init__(self, dt: float):
         if dt <= 0:
             raise ValueError("dt must be positive")
         self.dt = dt
-        self.dim = dim
         self._hist = deque(maxlen=3)
 
     def update(self, value):
@@ -144,11 +143,11 @@ class SetpointDifferentiator:
         self._hist.append(value.copy())
         n = len(self._hist)
         if n == 1:
-            return np.zeros(self.dim), np.zeros(self.dim), True
+            return np.zeros(value.shape), np.zeros(value.shape)
         if n == 2:
             x1, x2 = self._hist
-            return (x2 - x1) / self.dt, np.zeros(self.dim), True
+            return (x2 - x1) / self.dt, np.zeros(value.shape)
         x0, x1, x2 = self._hist
         d1 = (3.0 * x2 - 4.0 * x1 + x0) / (2.0 * self.dt)
         d2 = (x2 - 2.0 * x1 + x0) / (self.dt * self.dt)
-        return d1, d2, False
+        return d1, d2

@@ -193,11 +193,11 @@ def test_criterion_03_circle_tracking(circle_fbl_log, circle_clfqp_log):
     # third.
     clf = setup_output_clf(1.0)
     dt = log.dt
-    diff = SetpointDifferentiator(dt, dim=3)
+    diff = SetpointDifferentiator(dt)
     n = log.t.size
     V = np.zeros(n)
     for i in range(n):
-        qd_dot, _, _ = diff.update(log.q_d[i])
+        qd_dot, _ = diff.update(log.q_d[i])
         q = log.quad[i, 6:9]
         y = np.array([log.quad[i, 2], *q])
         y_d = np.array([log.ref_pos[i, 2], *log.q_d[i]])

@@ -10,11 +10,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadpend.cli import (CSV_BASE_COLUMNS, CSV_FLAG_COLUMNS, EXIT_ABORT,
-                          EXIT_OK, EXIT_VALIDATION, main, scenario_schema,
-                          shipped_scenarios)
+from quadpend.cli import (EXIT_ABORT, EXIT_OK, EXIT_VALIDATION, main,
+                          scenario_schema, shipped_scenarios)
 from quadpend.controllers import TrackingGains
-from quadpend.harness import CONTROLLERS, NoiseSpec
+from quadpend.harness import CONTROLLERS, SERIES, NoiseSpec
 
 HOVER = """\
 name: hover-test
@@ -42,6 +41,18 @@ initial:
   position: [0.0, 0.0, -2.0]
   pendulum: [0.02, 0.0, 0.0, 0.0]
 """
+
+
+# The CSV header without a pendulum, as the first release wrote it.
+HEADER = [
+    "t", "p_X", "p_Y", "p_Z", "v_X", "v_Y", "v_Z", "phi", "theta", "psi",
+    "w_x", "w_y", "w_z", "a", "b", "a_dot", "b_dot",
+    "u1", "u2", "u3", "u4", "f_z", "tau_x", "tau_y", "tau_z",
+    "phi_d", "theta_d", "psi_d", "p_Xd", "p_Yd", "p_Zd",
+    "clamped", "qp_relaxed", "qp_fault",
+]
+# With a pendulum the reference offsets come just before the three flags.
+PEND_HEADER = HEADER[:-3] + ["a_d", "b_d"] + HEADER[-3:]
 
 
 def write(tmp_path, text, name="case.scn"):
@@ -152,7 +163,7 @@ class TestRun:
             reader = csv.reader(fh)
             header = next(reader)
             rows = list(reader)
-        assert header == CSV_BASE_COLUMNS + CSV_FLAG_COLUMNS
+        assert header == HEADER
         assert len(rows) == 51
         # No pendulum: the four pendulum state columns hold the empty-string
         # sentinel.
@@ -175,8 +186,7 @@ class TestRun:
         main(["run", write(tmp_path, PEND), "--out", str(tmp_path / "o")])
         with open(tmp_path / "o" / "pend-test.csv") as fh:
             header = next(csv.reader(fh))
-        assert "a_d" in header and "b_d" in header
-        assert header.index("a_d") == len(CSV_BASE_COLUMNS)
+        assert header == PEND_HEADER
 
     def test_json_format(self, tmp_path):
         main(["run", write(tmp_path, HOVER), "--out", str(tmp_path / "o"),
@@ -200,23 +210,62 @@ class TestRun:
             rows = list(csv.reader(fh))
         assert 1 < len(rows) < 1002
 
-    @pytest.mark.parametrize("text, setting", [
-        (HOVER, "initial.attitude=[0, 1.5707963267948966, 0]"),
-        (PEND, "initial.pendulum=[0.6, 0, 0, 0]")],
-        ids=["pitch-pi/2", "pendulum-beyond-L"])
-    def test_abort_before_first_row(self, tmp_path, capsys, text, setting):
+    @pytest.mark.parametrize("text, setting, fmt", [
+        (HOVER, "initial.attitude=[0, 1.5707963267948966, 0]", "csv"),
+        (PEND, "initial.pendulum=[0.6, 0, 0, 0]", "csv"),
+        (PEND, "initial.pendulum=[0.6, 0, 0, 0]", "json")],
+        ids=["pitch-pi/2", "pendulum-beyond-L", "pendulum-beyond-L-json"])
+    def test_abort_before_first_row(self, tmp_path, capsys, text, setting,
+                                    fmt):
         rc = main(["run", write(tmp_path, text), "--out", str(tmp_path / "o"),
-                   "--set", setting])
+                   "--set", setting, "--format", fmt])
         assert rc == EXIT_ABORT
         assert "abort" in capsys.readouterr().err
         name = yaml.safe_load(text)["name"]
-        with open(tmp_path / "o" / f"{name}.csv") as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 1  # the header only
+        header = PEND_HEADER if text is PEND else HEADER
+        series = (tmp_path / "o" / f"{name}.{fmt}").read_text()
+        if fmt == "csv":
+            assert series == ",".join(header) + "\n"  # the header only
+        else:  # no rows: every series is present and empty
+            payload = json.loads(series)
+            assert payload.pop("scenario") == name
+            assert payload.pop("columns") == header
+            assert payload == {key: [] for key in SERIES}
         m = json.loads((tmp_path / "o" / f"{name}.metrics.json").read_text())
         assert m["aborted"] is True
         assert m["abort_time"] == 0.0
         assert m["abort_reason"]
+
+    @pytest.mark.parametrize("text", [HOVER, PEND],
+                             ids=["no-pendulum", "pendulum"])
+    def test_csv_and_json_hold_the_same_values(self, tmp_path, text):
+        path = write(tmp_path, text + "noise:\n  enabled: true\n")
+        for fmt in ("csv", "json"):
+            rc = main(["run", path, "--out", str(tmp_path), "--format", fmt])
+            assert rc == EXIT_OK
+        name = yaml.safe_load(text)["name"]
+        with open(tmp_path / f"{name}.csv") as fh:
+            header, *rows = csv.reader(fh)
+        payload = json.loads((tmp_path / f"{name}.json").read_text())
+        assert set(payload) == {"scenario", "columns", *SERIES}
+        assert payload["columns"] == header
+        by_column = dict(zip(header, zip(*rows)))
+        for key, series in SERIES.items():
+            values = payload[key]
+            for j, col in enumerate(series.columns):
+                if values is None:  # no pendulum
+                    assert set(by_column.get(col, [""])) == {""}
+                    continue
+                got = by_column[col]
+                want = [v[j] if len(series.columns) > 1 else v
+                        for v in values]
+                assert len(got) == len(want) == 51
+                if series.dtype is bool:
+                    assert list(got) == [str(v) for v in want]
+                    assert {type(v) for v in want} == {int}
+                else:  # bit for bit
+                    assert [float(c).hex() for c in got] == [
+                        float(v).hex() for v in want]
 
     def test_set_override_applies(self, tmp_path):
         main(["run", write(tmp_path, HOVER), "--out", str(tmp_path / "a")])
@@ -325,6 +374,30 @@ def test_adversarial_values_end_in_an_exit_code(sets):
         path.write_text(yaml.safe_dump(doc))
         rc = main(["run", str(path), "--out", str(Path(tmp) / "o")])
     assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_ABORT)
+
+
+def test_readme_csv_columns_match_series(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### CSV columns\n", 1)[1].split("\n#", 1)[0]
+    table = {}  # series -> (CSV columns, without a pendulum)
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            key, cols, absent = (c.strip() for c in line.split("|")[1:-1])
+            table[key.strip("`")] = (tuple(cols.strip("`").split()), absent)
+    assert list(table) == list(SERIES)
+    for key, series in SERIES.items():
+        cols, absent = table[key]
+        assert cols == series.columns, key
+        assert bool(absent) == series.pendulum, key
+        assert absent.startswith("empty strings") == series.blank, key
+    for text in (HOVER, PEND):
+        main(["run", write(tmp_path, text), "--out", str(tmp_path)])
+        name = yaml.safe_load(text)["name"]
+        with open(tmp_path / f"{name}.csv") as fh:
+            header = next(csv.reader(fh))
+        assert header == [c for cols, absent in table.values()
+                          if text is PEND or not absent.startswith("absent")
+                          for c in cols]
 
 
 def test_readme_scenario_block_matches_schema():

@@ -2,16 +2,17 @@
 
 import math
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import quadpend.controllers as ctl
 from quadpend.controllers import TrackingGains
-from quadpend.harness import (CONTROLLERS, MAX_CONSECUTIVE_FAULTS, NoiseSpec,
-                              Scenario, ScenarioError, compute_metrics,
-                              count_overshoots, rms, run_scenario,
-                              settling_time)
+from quadpend.harness import (CONTROLLERS, MAX_CONSECUTIVE_FAULTS, SERIES,
+                              NoiseSpec, Scenario, ScenarioError, SimLog,
+                              compute_metrics, count_overshoots, rms,
+                              run_scenario, settling_time)
 from quadpend.models import (PendulumParams, PendulumState, QuadState,
                              VehicleParams, coupled_derivative,
                              pendulum_drift_and_coupling)
@@ -121,6 +122,28 @@ class TestHoverInvariance:
         assert log.pend is None
         assert log.t[0] == 0.0
         assert log.t[-1] == pytest.approx(0.5)
+
+
+def test_simlog_declares_the_series():
+    # cmd_accel is logged for the metrics only, not emitted.
+    arrays = [f.name for f in fields(SimLog) if f.type is np.ndarray]
+    assert [name for name in arrays if name != "cmd_accel"] == list(SERIES)
+
+
+@pytest.mark.parametrize("controller", ["fbl-regulator", "pend-xi"])
+def test_series_shapes_and_dtypes(controller):
+    pend = PendulumParams() if CONTROLLERS[controller].pendulum else None
+    log = run_scenario(hover_scenario(controller=controller, pendulum=pend,
+                                      duration=0.005))
+    for name, series in SERIES.items():
+        a = getattr(log, name)
+        if series.pendulum and pend is None:
+            assert a is None, name
+            continue
+        width = len(series.columns)
+        assert a.shape == ((6,) if width == 1 else (6, width)), name
+        assert a.dtype == series.dtype, name
+    assert log.cmd_accel.shape == (6, 3)
 
 
 class TestDeterminism:
@@ -285,9 +308,11 @@ class TestMetrics:
     def test_settling_time_never(self):
         assert settling_time(np.ones(100), 0.1) is None
 
-    def test_settling_time_zero_start_uses_reference(self):
-        err = np.array([0.0, 1.0, 0.0, 0.0])
-        assert settling_time(err, 0.1, reference=1.0) == pytest.approx(0.2)
+    def test_settling_time_band_scales_initial_error(self):
+        err = np.array([-2.0, 1.0, 0.5, 0.1, 0.1])
+        assert settling_time(err, 0.1, band=0.5) == pytest.approx(0.1)
+        assert settling_time(err, 0.1, band=0.25) == pytest.approx(0.2)
+        assert settling_time(err, 0.1, band=0.1) == pytest.approx(0.3)
 
     def test_count_overshoots(self):
         assert count_overshoots(np.array([3.0, 1.0, -1.0, 1.0, -0.5])) == 3

@@ -8,8 +8,7 @@ import pytest
 
 from quadpend.numerics import (CareError, CareProblem, NonFiniteDerivativeError,
                                QpInfeasibleError, QpProblem, QpResult,
-                               QpUnboundedError, care_residual, rk4_step,
-                               solve_care, solve_qp)
+                               care_residual, rk4_step, solve_care, solve_qp)
 
 from helpers import linearize
 
@@ -194,12 +193,13 @@ class TestQp:
             solve_qp(prob)
         assert len(exc.value.violated_rows) > 0
 
-    def test_unbounded_raises(self):
-        # min -x s.t. x >= 0 with no curvature is unbounded below.
-        prob = QpProblem(H=np.zeros((1, 1)), f=np.array([-1.0]),
-                         A_ineq=np.array([[-1.0]]), b_ineq=np.array([0.0]))
-        with pytest.raises(QpUnboundedError):
-            solve_qp(prob)
+    def test_rejects_h_not_positive_definite(self):
+        # With H = 0, min -x s.t. x >= 0 would be unbounded below.
+        for H in (np.zeros((1, 1)), np.diag([1.0, 0.0]),
+                  np.array([[1.0, 1.0], [0.0, 1.0]])):
+            with pytest.raises(ValueError, match="positive definite"):
+                QpProblem(H=H, f=-np.ones(len(H)), A_ineq=-np.eye(len(H)),
+                          b_ineq=np.zeros(len(H)))
 
     def test_multipliers_nonnegative_and_stationary(self):
         rng = np.random.default_rng(12)

@@ -151,19 +151,19 @@ class TestSpecValidation:
 
 
 class TestSetpointDifferentiator:
-    def test_startup_flags(self):
-        d = SetpointDifferentiator(dt=0.1, dim=1)
-        _, _, startup = d.update([1.0])
-        assert startup
-        _, _, startup = d.update([1.1])
-        assert startup
-        _, _, startup = d.update([1.2])
-        assert not startup
+    def test_startup_zeros(self):
+        d = SetpointDifferentiator(dt=0.5)
+        d1, d2 = d.update([1.0, 2.0])
+        assert d1.tolist() == [0.0, 0.0] and d2.tolist() == [0.0, 0.0]
+        d1, d2 = d.update([1.5, 1.0])
+        assert d1.tolist() == [1.0, -2.0] and d2.tolist() == [0.0, 0.0]
+        d1, d2 = d.update([2.5, 1.0])
+        assert d1.tolist() == [2.5, 1.0] and d2.tolist() == [2.0, 4.0]
 
     def test_constant_signal(self):
-        d = SetpointDifferentiator(dt=0.01, dim=2)
+        d = SetpointDifferentiator(dt=0.01)
         for _ in range(5):
-            d1, d2, _ = d.update([3.0, -1.0])
+            d1, d2 = d.update([3.0, -1.0])
         np.testing.assert_allclose(d1, 0.0, atol=1e-12)
         np.testing.assert_allclose(d2, 0.0, atol=1e-12)
 
@@ -171,14 +171,13 @@ class TestSetpointDifferentiator:
         # Second-order backward differences are exact on polynomials of
         # degree <= 2.
         dt = 0.05
-        d = SetpointDifferentiator(dt=dt, dim=1)
+        d = SetpointDifferentiator(dt=dt)
         out = None
         for k in range(6):
             t = k * dt
             out = d.update([2.0 + 3.0 * t + 4.0 * t * t])
         t = 5 * dt
-        d1, d2, startup = out
-        assert not startup
+        d1, d2 = out
         assert d1[0] == pytest.approx(3.0 + 8.0 * t, rel=1e-10)
         assert d2[0] == pytest.approx(8.0, rel=1e-10)
 
@@ -186,12 +185,12 @@ class TestSetpointDifferentiator:
         # First derivative error of the 3-sample stencil is O(dt^2).
         errs = []
         for dt in (1e-2, 5e-3):
-            d = SetpointDifferentiator(dt=dt, dim=1)
+            d = SetpointDifferentiator(dt=dt)
             worst = 0.0
             for k in range(int(1.0 / dt) + 1):
                 t = k * dt
-                d1, _, startup = d.update([math.sin(5.0 * t)])
-                if not startup:
+                d1, _ = d.update([math.sin(5.0 * t)])
+                if k >= 2:  # past the two start-up samples
                     worst = max(worst, abs(d1[0] - 5.0 * math.cos(5.0 * t)))
             errs.append(worst)
         assert errs[0] / errs[1] > 3.0
