@@ -1,10 +1,9 @@
 """Quadrotor + inverted spherical pendulum simulation and control toolkit."""
 
-from .models import (ControlCommand, PendulumParams, PendulumState, QuadState,
-                     VehicleParams)
+from .models import PendulumParams, PendulumState, QuadState, VehicleParams
 from .harness import NoiseSpec, Scenario, SimLog, run_scenario
 
 __all__ = [
-    "ControlCommand", "PendulumParams", "PendulumState", "QuadState",
+    "PendulumParams", "PendulumState", "QuadState",
     "VehicleParams", "NoiseSpec", "Scenario", "SimLog", "run_scenario",
 ]

@@ -258,11 +258,18 @@ def emit_log(log: SimLog, fmt: str, out_dir: Path):
             fh.write(",".join(cols) + "\n")
             for cells in zip(*_csv_cells(log)):
                 fh.write(",".join(chain.from_iterable(cells)) + "\n")
-    else:
+    else:  # json.dumps(payload, sort_keys=True), one value at a time
         payload = {"scenario": log.scenario_name, "columns": cols}
-        for name, _, a in _emitted(log):
-            payload[name] = None if a is None else a.tolist()
-        series_path.write_text(json.dumps(payload, sort_keys=True))
+        payload.update((name, a) for name, _, a in _emitted(log))
+        with series_path.open("w") as fh:
+            sep = "{"
+            for key in sorted(payload):
+                value = payload[key]
+                if isinstance(value, np.ndarray):
+                    value = value.tolist()
+                fh.write(f"{sep}{json.dumps(key)}: {json.dumps(value)}")
+                sep = ", "
+            fh.write("}")
 
     metrics = dict(log.metrics)
     metrics["aborted"] = log.aborted

@@ -14,6 +14,8 @@ Four families:
 
 Position-to-attitude force allocation (zero yaw) bridges desired
 accelerations and attitude set-points for the inner loop.
+The quadrotor laws read the state vector x (layout in ``models``) and
+return the four rotor commands u; the pendulum laws read x[12:16].
 """
 
 import math
@@ -21,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (ControlCommand, PendulumParams, PendulumState, QuadState,
-                     SingularAttitudeError, VehicleParams, euler_rate_matrix,
-                     gravity_direction_map, mixer_matrix,
+from .models import (PendulumParams, SingularAttitudeError, VehicleParams,
+                     euler_rate_matrix, mixer_matrix,
                      pendulum_drift_and_coupling)
 from .numerics import CareProblem, QpProblem, QpInfeasibleError, solve_care, solve_qp
 
@@ -117,27 +118,28 @@ def _euler_rate_jacobian(q, omega):
     return J
 
 
-def output_vector(s: QuadState):
+def output_vector(x):
     """Output y = [p_Z, phi, theta, psi] and its derivative."""
-    y = np.array([s.p[2], s.q[0], s.q[1], s.q[2]])
-    q_dot = euler_rate_matrix(s.q) @ s.omega
-    y_dot = np.concatenate([[s.v[2]], q_dot])
+    y = np.array([x[2], x[6], x[7], x[8]])
+    q_dot = euler_rate_matrix(x[6:9]) @ x[9:12]
+    y_dot = np.concatenate([[x[5]], q_dot])
     return y, y_dot
 
 
-def fbl_terms(s: QuadState, p: VehicleParams) -> FblTerms:
+def fbl_terms(x, p: VehicleParams) -> FblTerms:
     """Drift Lf_h and decoupling A(x) of the second output derivative."""
-    phi, theta = float(s.q[0]), float(s.q[1])
+    q, omega = x[6:9], x[9:12]
+    phi, theta = float(q[0]), float(q[1])
     cc = math.cos(phi) * math.cos(theta)
     if abs(cc) < DECOUPLING_MARGIN:
         raise SingularAttitudeError(
             "decoupling singularity: cos(phi)cos(theta) below margin")
-    Z = euler_rate_matrix(s.q)
+    Z = euler_rate_matrix(q)
     I = p.inertia
-    Iw = I * s.omega
-    gyro = np.cross(Iw, s.omega) / I
-    q_dot = Z @ s.omega
-    Lf_att = _euler_rate_jacobian(s.q, s.omega) @ q_dot + Z @ gyro
+    Iw = I * omega
+    gyro = np.cross(Iw, omega) / I
+    q_dot = Z @ omega
+    Lf_att = _euler_rate_jacobian(q, omega) @ q_dot + Z @ gyro
     Lf_h = np.concatenate([[p.g], Lf_att])
     A_x = np.zeros((4, 4))
     A_x[0, 0] = -cc / p.m
@@ -150,28 +152,25 @@ def _decoupling_inverse(terms: FblTerms, p: VehicleParams):
     return np.linalg.inv(terms.A_x @ mixer_matrix(p))
 
 
-def fbl_regulator(s: QuadState, y_d, p: VehicleParams,
-                  clf: OutputClf) -> ControlCommand:
+def fbl_regulator(x, y_d, p: VehicleParams, clf: OutputClf) -> np.ndarray:
     """Set-point regulation u = (A(x)B)^-1 (-Lf_h - G'P eta)."""
-    terms = fbl_terms(s, p)
-    y, y_dot = output_vector(s)
+    terms = fbl_terms(x, p)
+    y, y_dot = output_vector(x)
     eta = np.concatenate([y - np.asarray(y_d, dtype=float), y_dot])
     v = -(clf.P @ eta)[4:]
-    u = _decoupling_inverse(terms, p) @ (-terms.Lf_h + v)
-    return ControlCommand.from_rotor_commands(u, p)
+    return _decoupling_inverse(terms, p) @ (-terms.Lf_h + v)
 
 
-def fbl_tracker(s: QuadState, ref: OutputReference, p: VehicleParams,
+def fbl_tracker(x, ref: OutputReference, p: VehicleParams,
                 alpha1=TrackingGains.alpha1,
-                alpha2=TrackingGains.alpha2) -> ControlCommand:
+                alpha2=TrackingGains.alpha2) -> np.ndarray:
     """PD trajectory tracking with exact feedforward of the reference."""
-    terms = fbl_terms(s, p)
-    y, y_dot = output_vector(s)
+    terms = fbl_terms(x, p)
+    y, y_dot = output_vector(x)
     w = (ref.y_d_ddot
          - np.asarray(alpha2) * (y_dot - ref.y_d_dot)
          - np.asarray(alpha1) * (y - ref.y_d))
-    u = _decoupling_inverse(terms, p) @ (-terms.Lf_h + w)
-    return ControlCommand.from_rotor_commands(u, p)
+    return _decoupling_inverse(terms, p) @ (-terms.Lf_h + w)
 
 
 def attitude_from_force(f_d, m: float):
@@ -221,17 +220,17 @@ class QpReport:
 CLF_SLACK_WEIGHT = 1e3
 
 
-def clf_qp_controller(s: QuadState, ref: OutputReference, p: VehicleParams,
+def clf_qp_controller(x, ref: OutputReference, p: VehicleParams,
                       clf: OutputClf):
     """Minimum-effort virtual input subject to CLF decrease and rotor bounds.
 
     The rotor box constraints are kept hard; on infeasibility the decrease
     row is relaxed with an L1-penalized slack and the step is flagged.
-    Returns (ControlCommand, QpReport).
+    Returns (u, QpReport).
     """
-    terms = fbl_terms(s, p)
+    terms = fbl_terms(x, p)
     M = _decoupling_inverse(terms, p)
-    y, y_dot = output_vector(s)
+    y, y_dot = output_vector(x)
     eta = np.concatenate([y - ref.y_d, y_dot - ref.y_d_dot])
     P, F, G = clf.P, clf.F, clf.G
 
@@ -284,33 +283,29 @@ def clf_qp_controller(s: QuadState, ref: OutputReference, p: VehicleParams,
             report.active_set = res.active_set
             report.iterations = res.iterations
 
-    u = M @ v + shift
-    return ControlCommand.from_rotor_commands(u, p), report
+    return M @ v + shift, report
 
 
-def _pendulum_nu(ps: PendulumState, ref_pend, ref_pend_dot, ref_pend_ddot,
-                 k1: float, k2: float):
-    y_p = np.array([ps.a, ps.b])
-    y_p_dot = np.array([ps.a_dot, ps.b_dot])
+def _pendulum_nu(xp, ref_pend, ref_pend_dot, ref_pend_ddot, k1: float,
+                 k2: float):
     return (np.asarray(ref_pend_ddot, dtype=float)
-            - k1 * (y_p_dot - np.asarray(ref_pend_dot, dtype=float))
-            - k2 * (y_p - np.asarray(ref_pend, dtype=float)))
+            - k1 * (xp[2:4] - np.asarray(ref_pend_dot, dtype=float))
+            - k2 * (xp[0:2] - np.asarray(ref_pend, dtype=float)))
 
 
-def pendulum_fbl_xi(ps: PendulumState, ref_pend, ref_pend_dot, ref_pend_ddot,
+def pendulum_fbl_xi(xp, ref_pend, ref_pend_dot, ref_pend_ddot,
                     pp: PendulumParams, g: float, k1=TrackingGains.k1,
                     k2=TrackingGains.k2):
     """Minimum-norm vehicle acceleration xi = B_p^+ (-f_p + nu)."""
-    nu = _pendulum_nu(ps, ref_pend, ref_pend_dot, ref_pend_ddot, k1, k2)
-    f_p, B_p = pendulum_drift_and_coupling(ps.a, ps.b, ps.a_dot, ps.b_dot,
-                                           pp.L, g)
+    nu = _pendulum_nu(xp, ref_pend, ref_pend_dot, ref_pend_ddot, k1, k2)
+    f_p, B_p = pendulum_drift_and_coupling(*xp, pp.L, g)
     rhs = -f_p + nu
     # B_p has full row rank inside the valid region, so the pseudo-inverse
     # is B_p' (B_p B_p')^-1.
     return B_p.T @ np.linalg.solve(B_p @ B_p.T, rhs)
 
 
-def pendulum_fbl_xi_prime(ps: PendulumState, pz_ddot: float, ref_pend,
+def pendulum_fbl_xi_prime(xp, pz_ddot: float, ref_pend,
                           ref_pend_dot, ref_pend_ddot, pp: PendulumParams,
                           g: float, k1=TrackingGains.k1,
                           k2=TrackingGains.k2):
@@ -319,9 +314,8 @@ def pendulum_fbl_xi_prime(ps: PendulumState, pz_ddot: float, ref_pend,
     The vertical acceleration pz_ddot is supplied externally and folded
     into the drift through the third column of B_p.
     """
-    nu = _pendulum_nu(ps, ref_pend, ref_pend_dot, ref_pend_ddot, k1, k2)
-    f_p, B_p = pendulum_drift_and_coupling(ps.a, ps.b, ps.a_dot, ps.b_dot,
-                                           pp.L, g)
+    nu = _pendulum_nu(xp, ref_pend, ref_pend_dot, ref_pend_ddot, k1, k2)
+    f_p, B_p = pendulum_drift_and_coupling(*xp, pp.L, g)
     B_prime = B_p[:, :2]
     if abs(np.linalg.det(B_prime)) < 1e-9:
         raise PendulumCouplingError("planar coupling matrix near singular")

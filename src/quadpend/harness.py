@@ -16,7 +16,7 @@ import numpy as np
 
 from . import controllers as ctl
 from . import models
-from .models import (ControlCommand, PENDULUM_MARGIN, PendulumHorizontalError,
+from .models import (PENDULUM_MARGIN, PendulumHorizontalError,
                      PendulumParams, PendulumState, QuadState,
                      SingularAttitudeError, VehicleParams)
 from .numerics import (CareError, NonFiniteDerivativeError,
@@ -180,9 +180,9 @@ def _position_outer(sc, design, x, refs):
 
 def _xi_outer(sc, design, x, refs):
     g = sc.vehicle.g
-    xi = ctl.pendulum_fbl_xi(PendulumState(*x[12:16]), refs.pend,
-                             refs.pend_dot, refs.pend_ddot, sc.pendulum, g,
-                             sc.gains.k1, sc.gains.k2)
+    xi = ctl.pendulum_fbl_xi(x[12:16], refs.pend, refs.pend_dot,
+                             refs.pend_ddot, sc.pendulum, g, sc.gains.k1,
+                             sc.gains.k2)
     f_d = xi.copy()
     f_d[2] -= g
     q_d, thrust = ctl.attitude_from_force(f_d, sc.vehicle.m)
@@ -192,8 +192,8 @@ def _xi_outer(sc, design, x, refs):
 def _xi_prime_outer(sc, design, x, refs):
     g = sc.vehicle.g
     z_acc = _altitude_pd(sc, x, refs)
-    xi_p = ctl.pendulum_fbl_xi_prime(PendulumState(*x[12:16]), z_acc,
-                                     refs.pend, refs.pend_dot, refs.pend_ddot,
+    xi_p = ctl.pendulum_fbl_xi_prime(x[12:16], z_acc, refs.pend,
+                                     refs.pend_dot, refs.pend_ddot,
                                      sc.pendulum, g, sc.gains.k1, sc.gains.k2)
     f_d = np.array([xi_p[0], xi_p[1], z_acc - g])
     q_d, thrust = ctl.attitude_from_force(f_d, sc.vehicle.m)
@@ -215,16 +215,16 @@ def _lqr_outer(sc, K, x, refs):
     return q_d, thrust, (x[2], x[5], w_z)
 
 
-def _regulator_inner(sc, clf, s, ref):
-    return ctl.fbl_regulator(s, ref.y_d, sc.vehicle, clf), ctl.QpReport()
+def _regulator_inner(sc, clf, x, ref):
+    return ctl.fbl_regulator(x, ref.y_d, sc.vehicle, clf), ctl.QpReport()
 
 
-def _clf_qp_inner(sc, clf, s, ref):
-    return ctl.clf_qp_controller(s, ref, sc.vehicle, clf)
+def _clf_qp_inner(sc, clf, x, ref):
+    return ctl.clf_qp_controller(x, ref, sc.vehicle, clf)
 
 
-def _tracker_inner(sc, design, s, ref):
-    return ctl.fbl_tracker(s, ref, sc.vehicle, sc.gains.alpha1,
+def _tracker_inner(sc, design, x, ref):
+    return ctl.fbl_tracker(x, ref, sc.vehicle, sc.gains.alpha1,
                            sc.gains.alpha2), ctl.QpReport()
 
 
@@ -234,8 +234,8 @@ class Controller:
 
     setup(sc) returns the run's design (the OutputClf, the LQR gain, or
     None); outer(sc, design, x, refs) returns (q_d, thrust_norm, z_ref) with
-    z_ref = (z_d, z_d_dot, z_d_ddot); inner(sc, design, s, ref) returns the
-    rotor command and its QpReport.
+    z_ref = (z_d, z_d_dot, z_d_ddot); inner(sc, design, x, ref) returns the
+    rotor commands u and their QpReport.
     """
 
     setup: object
@@ -281,7 +281,7 @@ def run_scenario(sc: Scenario) -> SimLog:
     log.cmd_accel = np.empty((len(steps), 3))
     rows = 0  # rows written
     rng = np.random.default_rng(sc.seed)
-    prev_cmd = None
+    prev = None  # the last step's (u, wrench)
     consecutive_faults = 0
     u_min = np.asarray(p.u_min, dtype=float)
     u_max = np.asarray(p.u_max, dtype=float)
@@ -290,7 +290,6 @@ def run_scenario(sc: Scenario) -> SimLog:
     for i in steps:
         t = i * sc.dt
         refs = sample_trajectory(sc.trajectory, t)
-        s = QuadState.from_vector(x[:12])
 
         try:
             q_d, thrust, z_ref = controller.outer(sc, design, x, refs)
@@ -299,19 +298,19 @@ def run_scenario(sc: Scenario) -> SimLog:
                 y_d=np.concatenate([[z_ref[0]], q_d]),
                 y_d_dot=np.concatenate([[z_ref[1]], qd_dot]),
                 y_d_ddot=np.concatenate([[z_ref[2]], qd_ddot]))
-            cmd, report = controller.inner(sc, design, s, ref_out)
+            u, report = controller.inner(sc, design, x, ref_out)
             consecutive_faults = 0
         except QpInfeasibleError as exc:
             consecutive_faults += 1
             report = ctl.QpReport(fault=True)
             log.events.append((t, "qp_fault", str(exc)))
-            if prev_cmd is None:
-                hover = np.array([p.m * p.g, 0.0, 0.0, 0.0])
-                cmd = ControlCommand.from_wrench(hover, p)
+            if prev is None:
+                wrench = np.array([p.m * p.g, 0.0, 0.0, 0.0])
+                u = models.mixer_inverse(wrench, p)
             else:
-                cmd = prev_cmd
+                u, wrench = prev
             q_d = np.zeros(3)
-            thrust = cmd.f_z
+            thrust = float(wrench[0])
             if consecutive_faults >= MAX_CONSECUTIVE_FAULTS:
                 log.abort(t, "persistent QP infeasibility")
         except (SingularAttitudeError, PendulumHorizontalError,
@@ -320,14 +319,16 @@ def run_scenario(sc: Scenario) -> SimLog:
             log.abort(t, str(exc))
             break
 
-        u_cl = np.clip(cmd.u, u_min, u_max)
-        was_clamped = bool(np.any(np.abs(u_cl - cmd.u) > 1e-12))
+        u_cl = np.clip(u, u_min, u_max)
+        was_clamped = bool(np.any(np.abs(u_cl - u) > 1e-12))
         if was_clamped:
-            cmd = ControlCommand.from_rotor_commands(u_cl, p)
+            u = u_cl
             log.events.append((t, "clamp", "rotor command clamped"))
+        if was_clamped or not report.fault:  # a fault repeats its wrench
+            wrench = models.mixer_forward(u, p)
         if report.relaxed:
             log.events.append((t, "qp_relaxed", f"slack {report.slack:.3g}"))
-        prev_cmd = cmd
+        prev = u, wrench
 
         cmd_accel = models.gravity_direction_map(q_d, p.m) * thrust
         cmd_accel[2] += p.g
@@ -337,8 +338,8 @@ def run_scenario(sc: Scenario) -> SimLog:
         if sc.has_pendulum:
             log.pend[i] = x[12:16]
             log.ref_pend[i] = refs.pend
-        log.u[i] = cmd.u
-        log.wrench[i] = cmd.wrench
+        log.u[i] = u
+        log.wrench[i] = wrench
         log.q_d[i] = q_d
         log.ref_pos[i] = refs.pos
         log.cmd_accel[i] = cmd_accel
@@ -360,7 +361,7 @@ def run_scenario(sc: Scenario) -> SimLog:
 
         try:
             x = rk4_step(lambda xx: models.coupled_derivative(
-                xx, cmd.wrench, p, pp, noise_acc, noise_ang), x, sc.dt, t=t)
+                xx, wrench, p, pp, noise_acc, noise_ang), x, sc.dt, t=t)
         except (SingularAttitudeError, PendulumHorizontalError,
                 NonFiniteDerivativeError) as exc:
             log.abort(t, str(exc))

@@ -6,7 +6,7 @@ World frame is Z-down: gravity is the vector (0, 0, +g) and a hovering
 vehicle produces thrust acceleration (0, 0, -g).  Attitude is parametrized
 by ZYX Euler angles q = (phi, theta, psi) with body angular velocity omega.
 
-Quadrotor (12 states):
+Quadrotor (12 states, x[0:12] = [p, v, q, omega]):
 
     p_dot     = v
     v_dot     = g*e_Z + g1(q) * f_z
@@ -16,9 +16,9 @@ Quadrotor (12 states):
 The four rotor commands u map linearly to the body wrench [f_z, tau]
 through the mixer matrix B (cross configuration, scaled by rho*D^4).
 
-Spherical pendulum (4 states), attached at the vehicle CoM and light enough
-not to back-react on the vehicle.  Its CoM offset from the vehicle CoM is
-(a, b, zeta) with zeta = sqrt(L^2 - a^2 - b^2):
+Spherical pendulum (4 states, x[12:16] = [a, b, a_dot, b_dot]), attached at
+the vehicle CoM and light enough not to back-react on the vehicle.  Its CoM
+offset from the vehicle CoM is (a, b, zeta) with zeta = sqrt(L^2 - a^2 - b^2):
 
     [a_ddot, b_ddot] = f_p(a, b, adot, bdot) + B_p(a, b) * p_ddot
 """
@@ -103,12 +103,6 @@ class QuadState:
     q: np.ndarray = field(default_factory=_zeros3)
     omega: np.ndarray = field(default_factory=_zeros3)
 
-    @classmethod
-    def from_vector(cls, x):
-        x = np.asarray(x, dtype=float)
-        return cls(p=x[0:3].copy(), v=x[3:6].copy(), q=x[6:9].copy(),
-                   omega=x[9:12].copy())
-
     def as_vector(self):
         return np.concatenate([self.p, self.v, self.q, self.omega])
 
@@ -146,28 +140,6 @@ def mixer_forward(u, p: VehicleParams) -> np.ndarray:
 def mixer_inverse(wrench, p: VehicleParams) -> np.ndarray:
     """Rotor commands realizing a wrench exactly; no clamping applied here."""
     return np.linalg.solve(mixer_matrix(p), np.asarray(wrench, dtype=float))
-
-
-@dataclass(frozen=True)
-class ControlCommand:
-    """Per-rotor commands and the equivalent body wrench, kept consistent."""
-
-    u: np.ndarray
-    wrench: np.ndarray
-
-    @classmethod
-    def from_rotor_commands(cls, u, p: VehicleParams):
-        u = np.asarray(u, dtype=float)
-        return cls(u=u, wrench=mixer_forward(u, p))
-
-    @classmethod
-    def from_wrench(cls, wrench, p: VehicleParams):
-        wrench = np.asarray(wrench, dtype=float)
-        return cls(u=mixer_inverse(wrench, p), wrench=wrench)
-
-    @property
-    def f_z(self):
-        return float(self.wrench[0])
 
 
 def gravity_direction_map(q, m: float) -> np.ndarray:

@@ -21,7 +21,6 @@ TRAJECTORY_KINDS = ("set-point", "circle", "takeoff-then-circle",
 class ReferenceSample:
     """Position and pendulum references with first and second derivatives."""
 
-    t: float
     pos: np.ndarray
     pos_dot: np.ndarray
     pos_ddot: np.ndarray
@@ -119,7 +118,7 @@ def sample_trajectory(spec: TrajectorySpec, t: float) -> ReferenceSample:
         pend_dot = np.array([-r * k * s, r * k * c])
         pend_ddot = np.array([-r * k * k * c, -r * k * k * s])
 
-    return ReferenceSample(t=t, pos=pos, pos_dot=vel, pos_ddot=acc,
+    return ReferenceSample(pos=pos, pos_dot=vel, pos_ddot=acc,
                            pend=pend, pend_dot=pend_dot, pend_ddot=pend_ddot)
 
 

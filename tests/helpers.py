@@ -6,14 +6,14 @@ from quadpend.models import VehicleParams, coupled_derivative
 from quadpend.numerics import NonFiniteDerivativeError
 
 
-def pendulum_accel(ps, p_ddot, pp, g):
-    """Pendulum (a_ddot, b_ddot) from coupled_derivative when the vehicle
-    accelerates at p_ddot.
+def pendulum_accel(xp, p_ddot, pp, g):
+    """Pendulum (a_ddot, b_ddot) from coupled_derivative at the pendulum
+    states xp = [a, b, a_dot, b_dot] when the vehicle accelerates at p_ddot.
 
     At zero thrust the vehicle acceleration is gravity plus the additive
     acceleration noise, so the noise term sets p_ddot.
     """
-    x = np.concatenate([np.zeros(12), ps.as_vector()])
+    x = np.concatenate([np.zeros(12), xp])
     noise_acc = np.asarray(p_ddot, dtype=float) - np.array([0.0, 0.0, g])
     return coupled_derivative(x, np.zeros(4), VehicleParams(g=g), pp,
                               noise_acc)[14:16]

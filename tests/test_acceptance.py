@@ -15,8 +15,8 @@ import pytest
 from quadpend.cli import load_scenarios, main, shipped_scenario_path
 from quadpend.controllers import (output_error_matrices, setup_output_clf)
 from quadpend.harness import NoiseSpec, Scenario, run_scenario
-from quadpend.models import (ControlCommand, PendulumParams, PendulumState,
-                             QuadState, VehicleParams, coupled_derivative,
+from quadpend.models import (PendulumParams, PendulumState, QuadState,
+                             VehicleParams, coupled_derivative,
                              euler_rate_matrix, mixer_forward, mixer_inverse)
 from quadpend.numerics import (CareProblem, QpProblem, care_residual,
                                rk4_step, solve_care, solve_qp)
@@ -99,11 +99,11 @@ def drift_logs():
 
 def test_criterion_01_model_examples():
     hover_u = P.m * P.g / (4.0 * P.rho * P.D ** 4 * P.C_T)
-    cmd = ControlCommand.from_rotor_commands(np.full(4, hover_u), P)
+    wrench = mixer_forward(np.full(4, hover_u), P)
     s = QuadState(p=np.array([0.0, 0.0, -2.0]), v=np.zeros(3),
                   q=np.zeros(3), omega=np.zeros(3))
     hover_drift = float(np.max(np.abs(
-        coupled_derivative(s.as_vector(), cmd.wrench, P))))
+        coupled_derivative(s.as_vector(), wrench, P))))
 
     rng = np.random.default_rng(100)
     mixer_err = 0.0
@@ -118,9 +118,8 @@ def test_criterion_01_model_examples():
         a, b = rng.uniform(-0.25, 0.25, size=2)
         ad, bd = rng.normal(scale=0.3, size=2)
         acc = rng.normal(scale=2.0, size=3)
-        d1 = pendulum_accel(PendulumState(a, b, ad, bd), acc, pp, P.g)
-        d2 = pendulum_accel(PendulumState(b, a, bd, ad),
-                            acc[[1, 0, 2]], pp, P.g)
+        d1 = pendulum_accel([a, b, ad, bd], acc, pp, P.g)
+        d2 = pendulum_accel([b, a, bd, ad], acc[[1, 0, 2]], pp, P.g)
         sym_err = max(sym_err, float(np.max(np.abs(d1 - d2[::-1]))))
 
     ok = hover_drift <= 1e-14 and mixer_err <= 1e-10 and sym_err <= 1e-12

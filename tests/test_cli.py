@@ -14,6 +14,7 @@ from quadpend.cli import (EXIT_ABORT, EXIT_OK, EXIT_VALIDATION, main,
                           scenario_schema, shipped_scenarios)
 from quadpend.controllers import TrackingGains
 from quadpend.harness import CONTROLLERS, SERIES, NoiseSpec
+from quadpend.trajectories import TRAJECTORY_KINDS
 
 HOVER = """\
 name: hover-test
@@ -266,6 +267,19 @@ class TestRun:
                 else:  # bit for bit
                     assert [float(c).hex() for c in got] == [
                         float(v).hex() for v in want]
+        # The JSON file is json.dumps of the payload, built here from the
+        # CSV cells of each series.
+        rebuilt = {"scenario": name, "columns": header}
+        for key, series in SERIES.items():
+            cells = [by_column.get(c, ("",)) for c in series.columns]
+            if cells[0][0] == "":  # no pendulum
+                rebuilt[key] = None
+                continue
+            cast = int if series.dtype is bool else float
+            rows = [[cast(c) for c in row] for row in zip(*cells)]
+            rebuilt[key] = [r[0] for r in rows] if len(cells) == 1 else rows
+        assert (tmp_path / f"{name}.json").read_text() == json.dumps(
+            rebuilt, sort_keys=True)
 
     def test_set_override_applies(self, tmp_path):
         main(["run", write(tmp_path, HOVER), "--out", str(tmp_path / "a")])
@@ -404,16 +418,22 @@ def test_readme_scenario_block_matches_schema():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
     doc = yaml.safe_load(block)
-    # The controller names in the comment of the controller: line and of
-    # the comment lines that continue it.
     lines = block.splitlines()
-    i = next(i for i, line in enumerate(lines) if line.startswith("controller:"))
-    comment = lines[i].split("#", 1)[1]
-    for line in lines[i + 1:]:
-        if not line.lstrip().startswith("#"):
-            break
-        comment += line.split("#", 1)[1]
-    assert [n.strip() for n in comment.split("|")] == list(CONTROLLERS)
+
+    def listed(key):
+        # The names in the comment of the key's line and of the comment
+        # lines that continue it.
+        i = next(i for i, line in enumerate(lines)
+                 if line.lstrip().startswith(f"{key}:"))
+        comment = lines[i].split("#", 1)[1]
+        for line in lines[i + 1:]:
+            if not line.lstrip().startswith("#"):
+                break
+            comment += line.split("#", 1)[1]
+        return [n.strip() for n in comment.split("|")]
+
+    assert listed("controller") == list(CONTROLLERS)
+    assert listed("kind") == list(TRAJECTORY_KINDS)
     schema = scenario_schema()
     assert set(doc) == set(schema)
     for section, keys in schema.items():

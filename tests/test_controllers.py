@@ -14,10 +14,9 @@ from quadpend.controllers import (AllocationError, OutputClf, OutputReference,
                                   pendulum_linear_system,
                                   pendulum_position_lqr, position_allocation,
                                   setup_output_clf, setup_pendulum_lqr)
-from quadpend.models import (ControlCommand, PendulumParams, PendulumState,
-                             QuadState, VehicleParams, coupled_derivative,
-                             euler_rate_matrix, gravity_direction_map,
-                             pendulum_drift_and_coupling)
+from quadpend.models import (PendulumParams, QuadState, VehicleParams,
+                             coupled_derivative, gravity_direction_map,
+                             mixer_forward, pendulum_drift_and_coupling)
 from quadpend.numerics import rk4_step
 
 from helpers import linearize, pendulum_accel
@@ -28,7 +27,7 @@ PP = PendulumParams()
 
 def hover_state(p_z=-2.0):
     return QuadState(p=np.array([0.0, 0.0, p_z]), v=np.zeros(3),
-                     q=np.zeros(3), omega=np.zeros(3))
+                     q=np.zeros(3), omega=np.zeros(3)).as_vector()
 
 
 class TestOutputClf:
@@ -66,13 +65,12 @@ class TestFblTerms:
             x = rng.normal(scale=0.3, size=12)
             hover_u = P.m * P.g / (4.0 * P.rho * P.D ** 4 * P.C_T)
             u = hover_u * (1.0 + 0.1 * rng.normal(size=4))
-            cmd = ControlCommand.from_rotor_commands(u, P)
-            s = QuadState.from_vector(x)
-            terms = fbl_terms(s, P)
-            pred = terms.Lf_h + terms.A_x @ cmd.wrench
-            f = coupled_derivative(x, cmd.wrench, P)
-            _, yd_plus = output_vector(QuadState.from_vector(x + h * f))
-            _, yd_minus = output_vector(QuadState.from_vector(x - h * f))
+            wrench = mixer_forward(u, P)
+            terms = fbl_terms(x, P)
+            pred = terms.Lf_h + terms.A_x @ wrench
+            f = coupled_derivative(x, wrench, P)
+            _, yd_plus = output_vector(x + h * f)
+            _, yd_minus = output_vector(x - h * f)
             fd = (yd_plus - yd_minus) / (2.0 * h)
             np.testing.assert_allclose(fd, pred, atol=1e-6)
 
@@ -80,7 +78,7 @@ class TestFblTerms:
         s = QuadState(p=np.zeros(3), v=np.zeros(3),
                       q=np.array([0.4, -0.3, 1.2]),
                       omega=np.array([0.5, -0.2, 0.1]))
-        terms = fbl_terms(s, P)
+        terms = fbl_terms(s.as_vector(), P)
         assert abs(np.linalg.det(terms.A_x)) > 1e-6
 
 
@@ -89,23 +87,23 @@ class TestFblRegulator:
 
     def test_hover_equilibrium(self):
         clf = setup_output_clf()
-        cmd = fbl_regulator(hover_state(), self.Y_D, P, clf)
-        assert cmd.f_z == pytest.approx(P.m * P.g, abs=1e-12)
-        np.testing.assert_allclose(cmd.wrench[1:4], 0.0, atol=1e-12)
+        wrench = mixer_forward(fbl_regulator(hover_state(), self.Y_D, P, clf),
+                               P)
+        assert wrench[0] == pytest.approx(P.m * P.g, abs=1e-12)
+        np.testing.assert_allclose(wrench[1:4], 0.0, atol=1e-12)
 
     def _simulate_step_response(self, clf, duration=8.0, dt=1e-3):
-        x = hover_state(p_z=-1.0).as_vector()
+        x = hover_state(p_z=-1.0)
         n = int(round(duration / dt))
         etas = np.zeros((n + 1, 8))
         for i in range(n + 1):
-            s = QuadState.from_vector(x)
-            y, y_dot = output_vector(s)
+            y, y_dot = output_vector(x)
             etas[i] = np.concatenate([y - self.Y_D, y_dot])
             if i == n:
                 break
-            cmd = fbl_regulator(s, self.Y_D, P, clf)
+            wrench = mixer_forward(fbl_regulator(x, self.Y_D, P, clf), P)
             x = rk4_step(
-                lambda xx: coupled_derivative(xx, cmd.wrench, P),
+                lambda xx: coupled_derivative(xx, wrench, P),
                 x, dt)
         return etas, dt
 
@@ -132,9 +130,9 @@ class TestFblTracker:
     def test_constant_reference_is_hover(self):
         ref = OutputReference(y_d=np.array([-2.0, 0, 0, 0]),
                               y_d_dot=np.zeros(4), y_d_ddot=np.zeros(4))
-        cmd = fbl_tracker(hover_state(), ref, P)
-        assert cmd.f_z == pytest.approx(P.m * P.g, abs=1e-12)
-        np.testing.assert_allclose(cmd.wrench[1:4], 0.0, atol=1e-12)
+        wrench = mixer_forward(fbl_tracker(hover_state(), ref, P), P)
+        assert wrench[0] == pytest.approx(P.m * P.g, abs=1e-12)
+        np.testing.assert_allclose(wrench[1:4], 0.0, atol=1e-12)
 
     def test_critically_damped_envelope(self):
         # alpha1 = 25, alpha2 = 10 make each output error follow
@@ -142,16 +140,16 @@ class TestFblTracker:
         ref = OutputReference(y_d=np.array([-1.0, 0, 0, 0]),
                               y_d_dot=np.zeros(4), y_d_ddot=np.zeros(4))
         dt = 1e-3
-        x = hover_state(p_z=-0.9).as_vector()
+        x = hover_state(p_z=-0.9)
         probes = {0.1: None, 0.5: None, 1.0: None}
         for i in range(1001):
             t = round(i * dt, 9)
             if t in probes:
                 probes[t] = x[2] - (-1.0)
-            s = QuadState.from_vector(x)
-            cmd = fbl_tracker(s, ref, P, alpha1=25.0, alpha2=10.0)
+            wrench = mixer_forward(
+                fbl_tracker(x, ref, P, alpha1=25.0, alpha2=10.0), P)
             x = rk4_step(
-                lambda xx: coupled_derivative(xx, cmd.wrench, P),
+                lambda xx: coupled_derivative(xx, wrench, P),
                 x, dt)
         for t, err in probes.items():
             want = 0.1 * (1.0 + 5.0 * t) * math.exp(-5.0 * t)
@@ -162,7 +160,7 @@ class TestFblTracker:
         # altitude reference stays tiny (no phase lag from feedforward).
         dt = 1e-3
         w = 2.0
-        x = hover_state(p_z=-2.0).as_vector()
+        x = hover_state(p_z=-2.0)
         worst = 0.0
         for i in range(4000):
             t = i * dt
@@ -170,12 +168,11 @@ class TestFblTracker:
             y_d_dot = np.array([0.2 * w * math.cos(w * t), 0, 0, 0])
             y_d_ddot = np.array([-0.2 * w * w * math.sin(w * t), 0, 0, 0])
             ref = OutputReference(y_d=y_d, y_d_dot=y_d_dot, y_d_ddot=y_d_ddot)
-            s = QuadState.from_vector(x)
             if t > 1.0:
                 worst = max(worst, abs(x[2] - y_d[0]))
-            cmd = fbl_tracker(s, ref, P)
+            wrench = mixer_forward(fbl_tracker(x, ref, P), P)
             x = rk4_step(
-                lambda xx: coupled_derivative(xx, cmd.wrench, P),
+                lambda xx: coupled_derivative(xx, wrench, P),
                 x, dt)
         assert worst < 1e-3
 
@@ -223,9 +220,10 @@ class TestClfQp:
         clf = setup_output_clf()
         ref = OutputReference(y_d=np.array([-2.0, 0, 0, 0]),
                               y_d_dot=np.zeros(4), y_d_ddot=np.zeros(4))
-        cmd, report = clf_qp_controller(hover_state(), ref, P, clf)
-        assert cmd.f_z == pytest.approx(P.m * P.g, abs=1e-10)
-        np.testing.assert_allclose(cmd.wrench[1:4], 0.0, atol=1e-10)
+        u, report = clf_qp_controller(hover_state(), ref, P, clf)
+        wrench = mixer_forward(u, P)
+        assert wrench[0] == pytest.approx(P.m * P.g, abs=1e-10)
+        np.testing.assert_allclose(wrench[1:4], 0.0, atol=1e-10)
         assert not report.relaxed and not report.fault
 
     def test_commands_within_bounds_and_clf_decrease(self):
@@ -233,21 +231,21 @@ class TestClfQp:
         ref = OutputReference(y_d=np.array([-2.0, 0, 0, 0]),
                               y_d_dot=np.zeros(4), y_d_ddot=np.zeros(4))
         dt = 1e-3
-        x = hover_state(p_z=-1.0).as_vector()
+        x = hover_state(p_z=-1.0)
         V_prev = None
         for i in range(3000):
-            s = QuadState.from_vector(x)
-            cmd, report = clf_qp_controller(s, ref, P, clf)
-            assert np.all(cmd.u >= np.asarray(P.u_min) - 1e-8)
-            assert np.all(cmd.u <= np.asarray(P.u_max) + 1e-8)
-            y, y_dot = output_vector(s)
+            u, report = clf_qp_controller(x, ref, P, clf)
+            assert np.all(u >= np.asarray(P.u_min) - 1e-8)
+            assert np.all(u <= np.asarray(P.u_max) + 1e-8)
+            y, y_dot = output_vector(x)
             eta = np.concatenate([y - ref.y_d, y_dot])
             V = float(eta @ clf.P @ eta)
             if V_prev is not None and not report.relaxed:
                 assert (V - V_prev) / dt <= -clf.c3 * V_prev + 1e-3
             V_prev = V
+            wrench = mixer_forward(u, P)
             x = rk4_step(
-                lambda xx: coupled_derivative(xx, cmd.wrench, P),
+                lambda xx: coupled_derivative(xx, wrench, P),
                 x, dt)
 
     def test_tight_bounds_trigger_relaxation_box_stays_hard(self):
@@ -261,18 +259,38 @@ class TestClfQp:
         s = QuadState(p=np.array([0.0, 0.0, 0.0]),
                       v=np.array([0.0, 0.0, 2.0]),  # sinking fast
                       q=np.zeros(3), omega=np.zeros(3))
-        cmd, report = clf_qp_controller(s, ref, tight, clf)
+        u, report = clf_qp_controller(s.as_vector(), ref, tight, clf)
         assert report.relaxed
         assert report.slack > 0.0
-        assert np.all(cmd.u <= np.asarray(tight.u_max) + 1e-8)
-        assert np.all(cmd.u >= np.asarray(tight.u_min) - 1e-8)
+        assert np.all(u <= np.asarray(tight.u_max) + 1e-8)
+        assert np.all(u >= np.asarray(tight.u_min) - 1e-8)
+
+
+@pytest.mark.parametrize("law", ["fbl_regulator", "fbl_tracker",
+                                 "clf_qp_controller"])
+def test_law_reads_only_the_quadrotor_states(law):
+    # The harness hands every law the full 16-state vector of a pendulum
+    # run; the pendulum states must not change u by a single bit.
+    clf = setup_output_clf()
+    ref = OutputReference(y_d=np.array([-2.0, 0.05, -0.05, 0.1]),
+                          y_d_dot=np.array([0.1, 0.0, 0.2, 0.0]),
+                          y_d_ddot=np.array([0.0, 0.3, 0.0, -0.1]))
+    run = {
+        "fbl_regulator": lambda x: fbl_regulator(x, ref.y_d, P, clf),
+        "fbl_tracker": lambda x: fbl_tracker(x, ref, P),
+        "clf_qp_controller": lambda x: clf_qp_controller(x, ref, P, clf)[0],
+    }[law]
+    rng = np.random.default_rng(25)
+    for _ in range(50):
+        x = np.concatenate([rng.normal(scale=0.2, size=12),
+                            rng.uniform(-0.2, 0.2, size=4)])
+        assert run(x).tobytes() == run(x[:12].copy()).tobytes()
 
 
 class TestPendulumFbl:
     def test_equilibrium_needs_no_acceleration(self):
-        ps = PendulumState(0.0, 0.0, 0.0, 0.0)
-        xi = pendulum_fbl_xi(ps, np.zeros(2), np.zeros(2), np.zeros(2),
-                             PP, P.g)
+        xi = pendulum_fbl_xi([0.0, 0.0, 0.0, 0.0], np.zeros(2), np.zeros(2),
+                             np.zeros(2), PP, P.g)
         np.testing.assert_allclose(xi, 0.0, atol=1e-14)
 
     def test_xi_achieves_commanded_error_dynamics(self):
@@ -280,54 +298,52 @@ class TestPendulumFbl:
         for _ in range(300):
             r = rng.uniform(0.0, 0.35)
             ang = rng.uniform(0.0, 2.0 * math.pi)
-            ps = PendulumState(r * math.cos(ang), r * math.sin(ang),
-                               *rng.normal(scale=0.4, size=2))
+            xp = [r * math.cos(ang), r * math.sin(ang),
+                  *rng.normal(scale=0.4, size=2)]
             ref = rng.normal(scale=0.05, size=2)
             ref_dot = rng.normal(scale=0.1, size=2)
             ref_ddot = rng.normal(scale=0.5, size=2)
-            xi = pendulum_fbl_xi(ps, ref, ref_dot, ref_ddot, PP, P.g)
-            acc = pendulum_accel(ps, xi, PP, P.g)
-            nu = (ref_ddot - 8.0 * (np.array([ps.a_dot, ps.b_dot]) - ref_dot)
-                  - 16.0 * (np.array([ps.a, ps.b]) - ref))
+            xi = pendulum_fbl_xi(xp, ref, ref_dot, ref_ddot, PP, P.g)
+            acc = pendulum_accel(xp, xi, PP, P.g)
+            nu = (ref_ddot - 8.0 * (np.array(xp[2:4]) - ref_dot)
+                  - 16.0 * (np.array(xp[0:2]) - ref))
             np.testing.assert_allclose(acc, nu, rtol=1e-9, atol=1e-10)
 
     def test_xi_is_minimum_norm(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            ps = PendulumState(*rng.uniform(-0.2, 0.2, size=2),
-                               *rng.normal(scale=0.3, size=2))
+            xp = [*rng.uniform(-0.2, 0.2, size=2),
+                  *rng.normal(scale=0.3, size=2)]
             ref = np.zeros(2)
-            xi = pendulum_fbl_xi(ps, ref, ref, ref, PP, P.g)
-            f_p, B_p = pendulum_drift_and_coupling(ps.a, ps.b, ps.a_dot,
-                                                   ps.b_dot, PP.L, P.g)
-            nu = (-8.0 * np.array([ps.a_dot, ps.b_dot])
-                  - 16.0 * np.array([ps.a, ps.b]))
+            xi = pendulum_fbl_xi(xp, ref, ref, ref, PP, P.g)
+            f_p, B_p = pendulum_drift_and_coupling(*xp, PP.L, P.g)
+            nu = (-8.0 * np.array(xp[2:4])
+                  - 16.0 * np.array(xp[0:2]))
             want, *_ = np.linalg.lstsq(B_p, -f_p + nu, rcond=None)
             np.testing.assert_allclose(xi, want, rtol=1e-9, atol=1e-12)
 
     def test_xi_prime_folds_vertical_acceleration(self):
         rng = np.random.default_rng(24)
         for _ in range(300):
-            ps = PendulumState(*rng.uniform(-0.2, 0.2, size=2),
-                               *rng.normal(scale=0.3, size=2))
+            xp = [*rng.uniform(-0.2, 0.2, size=2),
+                  *rng.normal(scale=0.3, size=2)]
             pz_ddot = rng.normal(scale=2.0)
             ref = rng.normal(scale=0.05, size=2)
             ref_dot = rng.normal(scale=0.1, size=2)
             ref_ddot = rng.normal(scale=0.5, size=2)
-            xi_p = pendulum_fbl_xi_prime(ps, pz_ddot, ref, ref_dot, ref_ddot,
+            xi_p = pendulum_fbl_xi_prime(xp, pz_ddot, ref, ref_dot, ref_ddot,
                                          PP, P.g)
             acc = pendulum_accel(
-                ps, np.array([xi_p[0], xi_p[1], pz_ddot]), PP, P.g)
-            nu = (ref_ddot - 8.0 * (np.array([ps.a_dot, ps.b_dot]) - ref_dot)
-                  - 16.0 * (np.array([ps.a, ps.b]) - ref))
+                xp, np.array([xi_p[0], xi_p[1], pz_ddot]), PP, P.g)
+            nu = (ref_ddot - 8.0 * (np.array(xp[2:4]) - ref_dot)
+                  - 16.0 * (np.array(xp[0:2]) - ref))
             np.testing.assert_allclose(acc, nu, rtol=1e-9, atol=1e-10)
 
     def test_xi_prime_near_horizontal_raises(self):
         zeta = 1e-5
         a = math.sqrt(PP.L ** 2 - zeta ** 2)
-        ps = PendulumState(a, 0.0, 0.0, 0.0)
         with pytest.raises(PendulumCouplingError):
-            pendulum_fbl_xi_prime(ps, 0.0, np.zeros(2), np.zeros(2),
+            pendulum_fbl_xi_prime([a, 0.0, 0.0, 0.0], 0.0, np.zeros(2), np.zeros(2),
                                   np.zeros(2), PP, P.g)
 
 

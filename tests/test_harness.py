@@ -15,8 +15,8 @@ from quadpend.harness import (CONTROLLERS, MAX_CONSECUTIVE_FAULTS, SERIES,
                               run_scenario, settling_time)
 from quadpend.models import (PendulumParams, PendulumState, QuadState,
                              VehicleParams, coupled_derivative,
-                             pendulum_drift_and_coupling)
-from quadpend.numerics import rk4_step
+                             mixer_inverse, pendulum_drift_and_coupling)
+from quadpend.numerics import QpInfeasibleError, rk4_step
 from quadpend.trajectories import TrajectorySpec
 
 P = VehicleParams()
@@ -289,6 +289,44 @@ class TestEventsAndAborts:
         assert log.t.size == 0
         assert log.metrics == {"clamp_events": 0, "qp_relaxed_events": 0,
                                "qp_faults": 0, "aborted": True}
+
+
+class TestQpFaultFallback:
+    """A CLF-QP fault holds hover first, then the last command."""
+
+    def _run(self, monkeypatch, good_calls):
+        real = ctl.clf_qp_controller
+        calls = Counter()
+
+        def faulty(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] > good_calls:
+                raise QpInfeasibleError("forced fault")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ctl, "clf_qp_controller", faulty)
+        sc = hover_scenario(controller="clf-qp")
+        return sc, run_scenario(sc)
+
+    def test_faults_from_the_first_call_hold_hover(self, monkeypatch):
+        sc, log = self._run(monkeypatch, 0)
+        assert log.t.size == MAX_CONSECUTIVE_FAULTS == 50
+        assert log.aborted and log.abort_time == 49 * sc.dt
+        assert log.abort_reason == "persistent QP infeasibility"
+        hover = np.array([P.m * P.g, 0.0, 0.0, 0.0])
+        assert np.array_equal(log.wrench[0], hover)
+        assert np.array_equal(log.u[0], mixer_inverse(hover, P))
+        assert np.array_equal(log.q_d[0], np.zeros(3))
+        assert log.qp_fault.all()
+        assert [e[1] for e in log.events] == ["qp_fault"] * 50
+
+    def test_faults_from_the_fourth_call_hold_the_last_command(
+            self, monkeypatch):
+        _, log = self._run(monkeypatch, 3)
+        assert log.t.size == 53 and log.aborted
+        assert not log.qp_fault[:3].any() and log.qp_fault[3:].all()
+        assert np.array_equal(log.u[3:], np.tile(log.u[2], (50, 1)))
+        assert np.array_equal(log.wrench[3:], np.tile(log.wrench[2], (50, 1)))
 
 
 class TestMetrics:

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from quadpend.models import (ControlCommand, PendulumHorizontalError,
-                             PendulumParams, PendulumState, QuadState,
-                             SingularAttitudeError, VehicleParams,
+from quadpend.models import (PendulumHorizontalError, PendulumParams,
+                             QuadState, SingularAttitudeError, VehicleParams,
                              euler_rate_matrix, gravity_direction_map,
                              coupled_derivative, mixer_forward,
                              mixer_inverse, mixer_matrix,
@@ -75,6 +74,12 @@ class TestMixer:
             np.testing.assert_allclose(mixer_inverse(mixer_forward(u, P), P),
                                        u, rtol=1e-10, atol=1e-8)
 
+    def test_wrench_round_trip(self):
+        w = mixer_forward(mixer_inverse(np.array([9.81, 0.1, -0.2, 0.05]), P),
+                          P)
+        assert w[0] == pytest.approx(9.81)
+        np.testing.assert_allclose(w[1:4], [0.1, -0.2, 0.05])
+
     def test_full_rank_and_conditioning(self):
         M = mixer_matrix(P)
         assert np.linalg.matrix_rank(M) == 4
@@ -136,61 +141,45 @@ class TestEulerRateMatrix:
 class TestQuadDerivative:
     def test_hover_is_equilibrium(self):
         hover_u = P.m * P.g / (4.0 * P.rho * P.D ** 4 * P.C_T)
-        cmd = ControlCommand.from_rotor_commands(np.full(4, hover_u), P)
+        wrench = mixer_forward(np.full(4, hover_u), P)
         s = QuadState(p=np.array([0.0, 0.0, -2.0]), v=np.zeros(3),
                       q=np.zeros(3), omega=np.zeros(3))
         np.testing.assert_allclose(
-            coupled_derivative(s.as_vector(), cmd.wrench, P), np.zeros(12),
+            coupled_derivative(s.as_vector(), wrench, P), np.zeros(12),
             atol=1e-12)
 
     def test_free_fall(self):
-        cmd = ControlCommand.from_rotor_commands(np.zeros(4), P)
+        wrench = mixer_forward(np.zeros(4), P)
         s = QuadState(p=np.zeros(3), v=np.zeros(3), q=np.zeros(3),
                       omega=np.zeros(3))
-        dx = coupled_derivative(s.as_vector(), cmd.wrench, P)
+        dx = coupled_derivative(s.as_vector(), wrench, P)
         np.testing.assert_allclose(dx[3:6], [0.0, 0.0, P.g], atol=1e-12)
 
     def test_gyroscopic_term(self):
         # Torque-free spin about a non-principal direction: Euler's equation
         # I w_dot = (I w) x w.
-        cmd = ControlCommand.from_wrench(np.array([0.0, 0.0, 0.0, 0.0]), P)
         w = np.array([1.0, 2.0, 3.0])
         s = QuadState(p=np.zeros(3), v=np.zeros(3), q=np.zeros(3), omega=w)
-        dx = coupled_derivative(s.as_vector(), cmd.wrench, P)
+        dx = coupled_derivative(s.as_vector(), np.zeros(4), P)
         expected = np.cross(P.inertia * w, w) / P.inertia
         np.testing.assert_allclose(dx[9:12], expected, rtol=1e-12)
 
     def test_velocity_passthrough_and_euler_rates(self):
-        cmd = ControlCommand.from_wrench(np.array([P.m * P.g, 0, 0, 0]), P)
+        wrench = np.array([P.m * P.g, 0.0, 0.0, 0.0])
         q = np.array([0.3, -0.2, 0.7])
         w = np.array([0.1, -0.4, 0.2])
         s = QuadState(p=np.zeros(3), v=np.array([1.0, 2.0, 3.0]), q=q,
                       omega=w)
-        dx = coupled_derivative(s.as_vector(), cmd.wrench, P)
+        dx = coupled_derivative(s.as_vector(), wrench, P)
         np.testing.assert_allclose(dx[0:3], s.v)
         np.testing.assert_allclose(dx[6:9], euler_rate_matrix(q) @ w)
 
     def test_singular_attitude_raises(self):
-        cmd = ControlCommand.from_wrench(np.array([P.m * P.g, 0, 0, 0]), P)
+        wrench = np.array([P.m * P.g, 0.0, 0.0, 0.0])
         s = QuadState(p=np.zeros(3), v=np.zeros(3),
                       q=np.array([0.0, math.pi / 2, 0.0]), omega=np.zeros(3))
         with pytest.raises(SingularAttitudeError):
-            coupled_derivative(s.as_vector(), cmd.wrench, P)
-
-
-class TestControlCommand:
-    def test_wrench_round_trip(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            u = rng.uniform(0.0, 2e4, size=4)
-            cmd = ControlCommand.from_rotor_commands(u, P)
-            cmd2 = ControlCommand.from_wrench(cmd.wrench, P)
-            np.testing.assert_allclose(cmd2.u, u, rtol=1e-10, atol=1e-8)
-
-    def test_properties(self):
-        cmd = ControlCommand.from_wrench(np.array([9.81, 0.1, -0.2, 0.05]), P)
-        assert cmd.f_z == pytest.approx(9.81)
-        np.testing.assert_allclose(cmd.wrench[1:4], [0.1, -0.2, 0.05])
+            coupled_derivative(s.as_vector(), wrench, P)
 
 
 class TestPendulum:
@@ -209,8 +198,7 @@ class TestPendulum:
             pendulum_zeta(0.4, 0.4, 0.5)
 
     def test_upright_equilibrium(self):
-        ps = PendulumState(0.0, 0.0, 0.0, 0.0)
-        acc = pendulum_accel(ps, np.zeros(3), self.PP, P.g)
+        acc = pendulum_accel(np.zeros(4), np.zeros(3), self.PP, P.g)
         np.testing.assert_allclose(acc, np.zeros(2), atol=1e-15)
 
     def test_coupling_at_origin(self):
@@ -220,8 +208,8 @@ class TestPendulum:
             B_p, [[-0.75, 0.0, 0.0], [0.0, -0.75, 0.0]], atol=1e-15)
 
     def test_unit_forward_acceleration_at_origin(self):
-        ps = PendulumState(0.0, 0.0, 0.0, 0.0)
-        acc = pendulum_accel(ps, np.array([1.0, 0.0, 0.0]), self.PP, P.g)
+        acc = pendulum_accel(np.zeros(4), np.array([1.0, 0.0, 0.0]), self.PP,
+                             P.g)
         np.testing.assert_allclose(acc, [-0.75, 0.0], atol=1e-15)
 
     def test_matches_independent_transcription(self):
@@ -233,8 +221,7 @@ class TestPendulum:
             a, b = r * math.cos(ang), r * math.sin(ang)
             a_dot, b_dot = rng.normal(scale=0.5, size=2)
             p_ddot = rng.normal(scale=3.0, size=3)
-            ps = PendulumState(a, b, a_dot, b_dot)
-            acc = pendulum_accel(ps, p_ddot, self.PP, P.g)
+            acc = pendulum_accel([a, b, a_dot, b_dot], p_ddot, self.PP, P.g)
             want = _pendulum_oracle(a, b, a_dot, b_dot, L, P.g, p_ddot)
             np.testing.assert_allclose(acc, want, rtol=1e-10, atol=1e-10)
 
@@ -245,21 +232,20 @@ class TestPendulum:
             a, b = rng.uniform(-0.25, 0.25, size=2)
             ad, bd = rng.normal(scale=0.3, size=2)
             acc = rng.normal(scale=2.0, size=3)
-            d1 = pendulum_accel(PendulumState(a, b, ad, bd), acc,
-                                self.PP, P.g)
+            d1 = pendulum_accel([a, b, ad, bd], acc, self.PP, P.g)
             swapped = np.array([acc[1], acc[0], acc[2]])
-            d2 = pendulum_accel(PendulumState(b, a, bd, ad), swapped,
-                                self.PP, P.g)
+            d2 = pendulum_accel([b, a, bd, ad], swapped, self.PP, P.g)
             np.testing.assert_allclose(d1, d2[::-1], rtol=1e-12, atol=1e-12)
 
     def test_horizontal_raises(self):
-        ps = PendulumState(0.5, 0.0, 0.0, 0.0)
         with pytest.raises(PendulumHorizontalError):
-            pendulum_accel(ps, np.zeros(3), self.PP, P.g)
+            pendulum_accel([0.5, 0.0, 0.0, 0.0], np.zeros(3), self.PP, P.g)
 
 
 class TestQuadState:
-    def test_vector_round_trip(self):
-        x = np.arange(12.0)
-        s = QuadState.from_vector(x)
-        np.testing.assert_allclose(s.as_vector(), x)
+    def test_as_vector_order(self):
+        # x = [p, v, q, omega], the layout coupled_derivative reads.
+        s = QuadState(p=np.array([0.0, 1.0, 2.0]), v=np.array([3.0, 4.0, 5.0]),
+                      q=np.array([6.0, 7.0, 8.0]),
+                      omega=np.array([9.0, 10.0, 11.0]))
+        np.testing.assert_array_equal(s.as_vector(), np.arange(12.0))
