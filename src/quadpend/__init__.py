@@ -1,9 +1,9 @@
 """Quadrotor + inverted spherical pendulum simulation and control toolkit."""
 
-from .models import PendulumParams, PendulumState, QuadState, VehicleParams
+from .models import InitialState, PendulumParams, VehicleParams
 from .harness import NoiseSpec, Scenario, SimLog, run_scenario
 
 __all__ = [
-    "PendulumParams", "PendulumState", "QuadState",
+    "InitialState", "PendulumParams",
     "VehicleParams", "NoiseSpec", "Scenario", "SimLog", "run_scenario",
 ]

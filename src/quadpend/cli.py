@@ -3,8 +3,9 @@
 Scenario files are YAML documents with a strict schema, read off the
 parameter dataclasses: unknown keys are rejected with the offending key and
 line number, and each value must convert to the type of its default.  Exit
-codes: 0 success, 2 validation error, 3 simulation abort (partial log still
-written).
+codes: 0 success, 2 validation error (a scenario, --jobs below 1, or an
+--out that cannot be made a directory), 3 simulation abort (partial log still
+written), 4 a run's output files could not be written.
 """
 
 import argparse
@@ -23,12 +24,14 @@ import yaml
 
 from .controllers import TrackingGains
 from .harness import SERIES, NoiseSpec, Scenario, SimLog, run_scenario
-from .models import PendulumParams, PendulumState, QuadState, VehicleParams
+from .models import InitialState, PendulumParams, VehicleParams
 from .trajectories import TrajectorySpec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ABORT = 3
+EXIT_WRITE = 4
+JSON_CHUNK_ROWS = 1024  # rows per json.dumps call when writing a series
 
 
 class ValidationError(Exception):
@@ -66,22 +69,20 @@ def _check_keys(doc, schema, raw_text, path=""):
             _check_keys(value or {}, sub, raw_text, path=f"{path}{key}.")
 
 
-# YAML section -> (Scenario field, dataclass, {field name: YAML key} for the
-# fields whose YAML key differs).  Keys, defaults and value types all come
-# from the dataclass fields; initial.pendulum is the one key outside this
-# table.
+# YAML section, named after its Scenario field -> (dataclass, {field name:
+# YAML key} for the fields whose YAML key differs).  Keys, defaults and value
+# types all come from the dataclass fields.
 _SECTIONS = {
-    "vehicle": ("vehicle", VehicleParams, {
+    "vehicle": (VehicleParams, {
         "m": "mass", "I_diag": "inertia", "D": "rotor_diameter",
         "C_T": "thrust_coeff", "C_Q": "torque_coeff", "l": "arm_length",
         "g": "gravity"}),
-    "pendulum": ("pendulum", PendulumParams, {"L": "half_length",
-                                              "m_p": "mass"}),
-    "gains": ("gains", TrackingGains, {}),
-    "trajectory": ("trajectory", TrajectorySpec, {}),
-    "initial": ("initial_quad", QuadState, {
+    "pendulum": (PendulumParams, {"L": "half_length", "m_p": "mass"}),
+    "gains": (TrackingGains, {}),
+    "trajectory": (TrajectorySpec, {}),
+    "initial": (InitialState, {
         "p": "position", "v": "velocity", "q": "attitude"}),
-    "noise": ("noise", NoiseSpec, {}),
+    "noise": (NoiseSpec, {}),
 }
 # Top-level keys: the Scenario fields that are not sections.
 _SCALARS = tuple(f.name for f in fields(Scenario) if not is_dataclass(f.type))
@@ -90,10 +91,9 @@ _SCALARS = tuple(f.name for f in fields(Scenario) if not is_dataclass(f.type))
 def scenario_schema() -> dict:
     """Valid keys of a scenario file -> field name, or a section's own keys."""
     schema = {key: key for key in _SCALARS}
-    for section, (_, cls, keys) in _SECTIONS.items():
+    for section, (cls, keys) in _SECTIONS.items():
         schema[section] = {keys.get(f.name, f.name): f.name
                            for f in fields(cls)}
-    schema["initial"]["pendulum"] = "initial_pend"
     schema["batch"] = None
     return schema
 
@@ -114,8 +114,7 @@ def _convert(value, like, key):
         if not math.isfinite(x):
             raise ValidationError(f"{key} must be finite, got {value!r}")
         return x
-    vec = _vec(value, len(like), key)
-    return np.array(vec) if isinstance(like, np.ndarray) else vec
+    return _vec(value, len(like), key)
 
 
 def _vec(value, n, key):
@@ -137,17 +136,12 @@ def build_scenario(doc: dict, default_name: str) -> Scenario:
     schema = scenario_schema()
     scalars = {k: doc[k] for k in _SCALARS if k in doc}
     kw = {"name": default_name, **_typed_fields(Scenario(), scalars, schema)}
-    initial = dict(doc.get("initial") or {})
-    pend0 = initial.pop("pendulum", None)
-    if pend0 is not None:
-        kw["initial_pend"] = PendulumState(*_vec(
-            pend0, len(fields(PendulumState)), "initial.pendulum"))
     try:
-        for section, (name, cls, _) in _SECTIONS.items():
-            sdoc = initial if section == "initial" else doc.get(section)
+        for section, (cls, _) in _SECTIONS.items():
+            sdoc = doc.get(section)
             if section == "pendulum" and not sdoc:
                 continue  # no pendulum section, no pendulum
-            kw[name] = cls(**_typed_fields(
+            kw[section] = cls(**_typed_fields(
                 cls(), sdoc or {}, schema[section], f"{section}."))
         return Scenario(**kw)
     except (ValueError, ArithmeticError) as exc:
@@ -186,8 +180,9 @@ def load_scenarios(path: Path, overrides=(), seed=None):
 
     variants = [({}, "")]
     if batch is not None:
-        if not isinstance(batch, list):
-            raise ValidationError("batch must be a list of override entries")
+        if not isinstance(batch, list) or not batch:
+            raise ValidationError(
+                "batch must be a non-empty list of override entries")
         variants = []
         for i, entry in enumerate(batch):
             if not (isinstance(entry, dict)
@@ -247,6 +242,16 @@ def _csv_cells(log: SimLog):
             yield repeat([""] * width)
 
 
+def _write_json_rows(fh, a):
+    """Write json.dumps(a.tolist()), JSON_CHUNK_ROWS rows at a time."""
+    fh.write("[")
+    for i in range(0, len(a), JSON_CHUNK_ROWS):
+        if i:
+            fh.write(", ")
+        fh.write(json.dumps(a[i:i + JSON_CHUNK_ROWS].tolist())[1:-1])
+    fh.write("]")
+
+
 def emit_log(log: SimLog, fmt: str, out_dir: Path):
     """Write the time series and the metrics file; returns the paths."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -265,9 +270,11 @@ def emit_log(log: SimLog, fmt: str, out_dir: Path):
             sep = "{"
             for key in sorted(payload):
                 value = payload[key]
+                fh.write(f"{sep}{json.dumps(key)}: ")
                 if isinstance(value, np.ndarray):
-                    value = value.tolist()
-                fh.write(f"{sep}{json.dumps(key)}: {json.dumps(value)}")
+                    _write_json_rows(fh, value)
+                else:
+                    fh.write(json.dumps(value))
                 sep = ", "
             fh.write("}")
 
@@ -282,10 +289,17 @@ def emit_log(log: SimLog, fmt: str, out_dir: Path):
 
 
 def _run_one(args):
+    """Run and emit one scenario; returns (exit status, message line)."""
     sc, fmt, out_dir = args
     log = run_scenario(sc)
-    emit_log(log, fmt, Path(out_dir))
-    return sc.name, log.aborted, log.abort_time, log.abort_reason
+    try:
+        emit_log(log, fmt, Path(out_dir))
+    except OSError as exc:
+        return EXIT_WRITE, f"{sc.name}: cannot write output: {exc}"
+    if log.aborted:
+        return EXIT_ABORT, (f"{sc.name}: aborted at t={log.abort_time:.4g} s "
+                            f"({log.abort_reason})")
+    return EXIT_OK, f"{sc.name}: ok"
 
 
 def shipped_scenarios():
@@ -365,24 +379,27 @@ def main(argv=None) -> int:
             print(f"{sc.name}: ok")
         return EXIT_OK
 
-    out_dir = Path(args.out)
-    jobs = max(1, args.jobs)
-    work = [(sc, args.format, str(out_dir)) for sc in scenarios]
-    if jobs > 1 and len(work) > 1:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use --out {args.out}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+
+    work = [(sc, args.format, args.out) for sc in scenarios]
+    jobs = min(args.jobs, len(work))
+    if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_one, work))
     else:
         results = [_run_one(w) for w in work]
 
-    status = EXIT_OK
-    for name, aborted, abort_time, reason in results:
-        if aborted:
-            print(f"{name}: aborted at t={abort_time:.4g} s ({reason})",
-                  file=sys.stderr)
-            status = EXIT_ABORT
-        else:
-            print(f"{name}: ok")
-    return status
+    for code, line in results:
+        print(line, file=sys.stderr if code else sys.stdout)
+    return max(code for code, _ in results)
 
 
 if __name__ == "__main__":

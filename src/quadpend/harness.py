@@ -16,9 +16,8 @@ import numpy as np
 
 from . import controllers as ctl
 from . import models
-from .models import (PENDULUM_MARGIN, PendulumHorizontalError,
-                     PendulumParams, PendulumState, QuadState,
-                     SingularAttitudeError, VehicleParams)
+from .models import (PENDULUM_MARGIN, InitialState, PendulumHorizontalError,
+                     PendulumParams, SingularAttitudeError, VehicleParams)
 from .numerics import (CareError, NonFiniteDerivativeError,
                        QpInfeasibleError, rk4_step)
 from .trajectories import SetpointDifferentiator, TrajectorySpec, sample_trajectory
@@ -59,8 +58,7 @@ class Scenario:
     pendulum: PendulumParams = None
     gains: ctl.TrackingGains = field(default_factory=ctl.TrackingGains)
     trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
-    initial_quad: QuadState = field(default_factory=QuadState)
-    initial_pend: PendulumState = None
+    initial: InitialState = field(default_factory=InitialState)
     duration: float = 10.0
     dt: float = 1e-3
     seed: int = 0
@@ -76,9 +74,6 @@ class Scenario:
         if CONTROLLERS[self.controller].pendulum and self.pendulum is None:
             raise ScenarioError(
                 f"controller {self.controller!r} requires pendulum parameters")
-        if self.pendulum is not None and self.initial_pend is None:
-            object.__setattr__(self, "initial_pend",
-                               PendulumState(0.0, 0.0, 0.0, 0.0))
 
     @property
     def has_pendulum(self):
@@ -261,9 +256,9 @@ def run_scenario(sc: Scenario) -> SimLog:
     n_steps = int(round(sc.duration / sc.dt))
     steps = range(n_steps + 1)
 
-    x = sc.initial_quad.as_vector()
-    if sc.has_pendulum:
-        x = np.concatenate([x, sc.initial_pend.as_vector()])
+    x = sc.initial.as_vector()
+    if not sc.has_pendulum:
+        x = x[:12]
 
     log = SimLog(scenario_name=sc.name, dt=sc.dt)
     controller = CONTROLLERS[sc.controller]

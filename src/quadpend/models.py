@@ -21,10 +21,12 @@ the vehicle CoM and light enough not to back-react on the vehicle.  Its CoM
 offset from the vehicle CoM is (a, b, zeta) with zeta = sqrt(L^2 - a^2 - b^2):
 
     [a_ddot, b_ddot] = f_p(a, b, adot, bdot) + B_p(a, b) * p_ddot
+
+A run's initial condition is an InitialState, stated in this layout of x.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,34 +92,20 @@ class PendulumParams:
             raise ValueError("pendulum mass must be nonnegative")
 
 
-def _zeros3():
-    return np.zeros(3)
-
-
 @dataclass(frozen=True)
-class QuadState:
-    """Quadrotor state: position, velocity, Euler angles, body rates."""
+class InitialState:
+    """Initial condition, laid out as x: [p, v, q, omega, (a, b, a_dot, b_dot)]."""
 
-    p: np.ndarray = field(default_factory=_zeros3)
-    v: np.ndarray = field(default_factory=_zeros3)
-    q: np.ndarray = field(default_factory=_zeros3)
-    omega: np.ndarray = field(default_factory=_zeros3)
+    p: tuple = (0.0, 0.0, 0.0)
+    v: tuple = (0.0, 0.0, 0.0)
+    q: tuple = (0.0, 0.0, 0.0)
+    omega: tuple = (0.0, 0.0, 0.0)
+    pendulum: tuple = (0.0, 0.0, 0.0, 0.0)
 
     def as_vector(self):
-        return np.concatenate([self.p, self.v, self.q, self.omega])
-
-
-@dataclass(frozen=True)
-class PendulumState:
-    """Pendulum CoM offsets from the vehicle CoM and their rates."""
-
-    a: float
-    b: float
-    a_dot: float
-    b_dot: float
-
-    def as_vector(self):
-        return np.array([self.a, self.b, self.a_dot, self.b_dot])
+        """The 16-entry x; a run without a pendulum uses x[:12]."""
+        return np.concatenate([self.p, self.v, self.q, self.omega,
+                               self.pendulum])
 
 
 def mixer_matrix(p: VehicleParams) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 from quadpend.cli import load_scenarios, main, shipped_scenario_path
 from quadpend.controllers import (output_error_matrices, setup_output_clf)
 from quadpend.harness import NoiseSpec, Scenario, run_scenario
-from quadpend.models import (PendulumParams, PendulumState, QuadState,
+from quadpend.models import (InitialState, PendulumParams,
                              VehicleParams, coupled_derivative,
                              euler_rate_matrix, mixer_forward, mixer_inverse)
 from quadpend.numerics import (CareProblem, QpProblem, care_residual,
@@ -49,9 +49,7 @@ def circle_fbl_log():
         name="circle-fbl", controller="fbl-tracker",
         trajectory=TrajectorySpec(kind="circle", radius=1.0, rate=0.5,
                                   altitude=-2.0),
-        initial_quad=QuadState(p=np.array([1.0, 0.0, -2.0]),
-                               v=np.array([0.0, 0.5, 0.0]),
-                               q=np.zeros(3), omega=np.zeros(3)),
+        initial=InitialState(p=(1.0, 0.0, -2.0), v=(0.0, 0.5, 0.0)),
         duration=10.0, dt=1e-3)
     return run_scenario(sc)
 
@@ -62,9 +60,7 @@ def circle_clfqp_log():
         name="circle-clfqp", controller="clf-qp",
         trajectory=TrajectorySpec(kind="circle", radius=1.0, rate=0.5,
                                   altitude=-2.0),
-        initial_quad=QuadState(p=np.array([1.0, 0.0, -2.0]),
-                               v=np.array([0.0, 0.5, 0.0]),
-                               q=np.zeros(3), omega=np.zeros(3)),
+        initial=InitialState(p=(1.0, 0.0, -2.0), v=(0.0, 0.5, 0.0)),
         duration=10.0, dt=1e-3)
     return run_scenario(sc)
 
@@ -85,10 +81,8 @@ def drift_logs():
             pendulum=PendulumParams(),
             trajectory=TrajectorySpec(kind="set-point",
                                       setpoint=(0.0, 0.0, -2.0)),
-            initial_quad=QuadState(p=np.array([0.0, 0.0, -2.0]),
-                                   v=np.zeros(3), q=np.zeros(3),
-                                   omega=np.zeros(3)),
-            initial_pend=PendulumState(0.1, -0.05, 0.0, 0.0),
+            initial=InitialState(p=(0.0, 0.0, -2.0),
+                                 pendulum=(0.1, -0.05, 0.0, 0.0)),
             duration=60.0, dt=2e-3)
 
     return run_scenario(make("pend-xi-prime")), run_scenario(make("pend-lqr"))
@@ -100,10 +94,8 @@ def drift_logs():
 def test_criterion_01_model_examples():
     hover_u = P.m * P.g / (4.0 * P.rho * P.D ** 4 * P.C_T)
     wrench = mixer_forward(np.full(4, hover_u), P)
-    s = QuadState(p=np.array([0.0, 0.0, -2.0]), v=np.zeros(3),
-                  q=np.zeros(3), omega=np.zeros(3))
-    hover_drift = float(np.max(np.abs(
-        coupled_derivative(s.as_vector(), wrench, P))))
+    x = InitialState(p=(0.0, 0.0, -2.0)).as_vector()[:12]
+    hover_drift = float(np.max(np.abs(coupled_derivative(x, wrench, P))))
 
     rng = np.random.default_rng(100)
     mixer_err = 0.0

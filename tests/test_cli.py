@@ -1,5 +1,6 @@
 """Tests for the scenario-file front end: validation, runs, and output files."""
 
+import concurrent.futures
 import csv
 import json
 import tempfile
@@ -10,8 +11,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadpend.cli import (EXIT_ABORT, EXIT_OK, EXIT_VALIDATION, main,
-                          scenario_schema, shipped_scenarios)
+import quadpend.cli as cli
+from quadpend.cli import (EXIT_ABORT, EXIT_OK, EXIT_VALIDATION, EXIT_WRITE,
+                          load_scenarios, main, scenario_schema,
+                          shipped_scenario_path, shipped_scenarios)
 from quadpend.controllers import TrackingGains
 from quadpend.harness import CONTROLLERS, SERIES, NoiseSpec
 from quadpend.trajectories import TRAJECTORY_KINDS
@@ -108,6 +111,23 @@ class TestValidate:
         for name in ("dir.scn", "binary.scn"):
             assert main(["validate", str(tmp_path / name)]) == EXIT_VALIDATION
             assert f"cannot read {name}" in capsys.readouterr().err
+
+    def test_null_initial_pendulum_rejected_like_position(self, tmp_path,
+                                                          capsys):
+        errs = []
+        for key in ("position", "pendulum"):
+            text = "\n".join(
+                f"  {key}: null" if line.startswith(f"  {key}:") else line
+                for line in PEND.splitlines())
+            rc = main(["validate", write(tmp_path, text)])
+            assert rc == EXIT_VALIDATION
+            errs.append(capsys.readouterr().err)
+        assert "initial.position must be a number, got None" in errs[0]
+        assert errs[1] == errs[0].replace("position", "pendulum")
+
+    def test_loading_twice_gives_equal_scenarios(self):
+        path = shipped_scenario_path("fig6-pend-balance.scn")
+        assert load_scenarios(path) == load_scenarios(path)
 
     def test_bad_override_key(self, tmp_path, capsys):
         rc = main(["validate", write(tmp_path, HOVER),
@@ -237,9 +257,12 @@ class TestRun:
         assert m["abort_time"] == 0.0
         assert m["abort_reason"]
 
-    @pytest.mark.parametrize("text", [HOVER, PEND],
-                             ids=["no-pendulum", "pendulum"])
-    def test_csv_and_json_hold_the_same_values(self, tmp_path, text):
+    # The 2501-row run writes each JSON series in three chunks of rows.
+    @pytest.mark.parametrize("text, n_rows", [
+        (HOVER, 51), (PEND, 51),
+        (HOVER.replace("duration: 0.05", "duration: 2.5"), 2501)],
+        ids=["no-pendulum", "pendulum", "2501-rows"])
+    def test_csv_and_json_hold_the_same_values(self, tmp_path, text, n_rows):
         path = write(tmp_path, text + "noise:\n  enabled: true\n")
         for fmt in ("csv", "json"):
             rc = main(["run", path, "--out", str(tmp_path), "--format", fmt])
@@ -260,7 +283,7 @@ class TestRun:
                 got = by_column[col]
                 want = [v[j] if len(series.columns) > 1 else v
                         for v in values]
-                assert len(got) == len(want) == 51
+                assert len(got) == len(want) == n_rows
                 if series.dtype is bool:
                     assert list(got) == [str(v) for v in want]
                     assert {type(v) for v in want} == {int}
@@ -278,8 +301,24 @@ class TestRun:
             cast = int if series.dtype is bool else float
             rows = [[cast(c) for c in row] for row in zip(*cells)]
             rebuilt[key] = [r[0] for r in rows] if len(cells) == 1 else rows
-        assert (tmp_path / f"{name}.json").read_text() == json.dumps(
+        # Compared apart from the assert: pytest would diff two long strings.
+        same = (tmp_path / f"{name}.json").read_text() == json.dumps(
             rebuilt, sort_keys=True)
+        assert same, "the JSON file is not json.dumps of the payload"
+
+    @pytest.mark.parametrize("under", ["", "sub"],
+                             ids=["a-file", "under-a-file"])
+    def test_unusable_out_exits_before_any_run(self, tmp_path, capsys,
+                                               monkeypatch, under):
+        def never(sc):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run_scenario", never)
+        (tmp_path / "o").write_text("")
+        out = tmp_path / "o" / under
+        rc = main(["run", write(tmp_path, HOVER), "--out", str(out)])
+        assert rc == EXIT_VALIDATION
+        assert str(tmp_path / "o") in capsys.readouterr().err
 
     def test_set_override_applies(self, tmp_path):
         main(["run", write(tmp_path, HOVER), "--out", str(tmp_path / "a")])
@@ -337,9 +376,55 @@ batch:
             assert ((tmp_path / "s" / name).read_bytes()
                     == (tmp_path / "p" / name).read_bytes())
 
-    def test_malformed_batch_rejected(self, tmp_path, capsys):
-        rc = main(["validate", write(tmp_path, HOVER + "batch:\n  - 3\n")])
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["serial", "pool"])
+    def test_write_error_names_run_and_path(self, tmp_path, capsys, jobs):
+        # A directory where one run's series file should go.
+        blocked = tmp_path / "o" / "hover-test-low.csv"
+        blocked.mkdir(parents=True)
+        rc = main(["run", write(tmp_path, self.BATCH),
+                   "--out", str(tmp_path / "o"), "--jobs", jobs])
+        assert rc == EXIT_WRITE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("hover-test-low: ")
+        assert str(blocked) in err[0]
+        assert (tmp_path / "o" / "hover-test-high.csv").is_file()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        rc = main(["run", write(tmp_path, self.BATCH),
+                   "--out", str(tmp_path / "o"), "--jobs", jobs])
         assert rc == EXIT_VALIDATION
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_pool_no_larger_than_the_batch(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class SerialPool:  # records its size and maps in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        rc = main(["run", write(tmp_path, self.BATCH),
+                   "--out", str(tmp_path / "o"), "--jobs", "500"])
+        assert rc == EXIT_OK
+        assert sizes == [2]
+
+    def test_malformed_batch_rejected(self, tmp_path, capsys):
+        for text in ("batch:\n  - 3\n", "batch: []\n"):
+            rc = main(["validate", write(tmp_path, HOVER + text)])
+            assert rc == EXIT_VALIDATION
         rc = main(["validate", write(tmp_path, HOVER + """\
 batch:
   - set: {gains.kp: 5.0}

@@ -14,7 +14,7 @@ from quadpend.controllers import (AllocationError, OutputClf, OutputReference,
                                   pendulum_linear_system,
                                   pendulum_position_lqr, position_allocation,
                                   setup_output_clf, setup_pendulum_lqr)
-from quadpend.models import (PendulumParams, QuadState, VehicleParams,
+from quadpend.models import (InitialState, PendulumParams, VehicleParams,
                              coupled_derivative, gravity_direction_map,
                              mixer_forward, pendulum_drift_and_coupling)
 from quadpend.numerics import rk4_step
@@ -26,8 +26,7 @@ PP = PendulumParams()
 
 
 def hover_state(p_z=-2.0):
-    return QuadState(p=np.array([0.0, 0.0, p_z]), v=np.zeros(3),
-                     q=np.zeros(3), omega=np.zeros(3)).as_vector()
+    return InitialState(p=(0.0, 0.0, p_z)).as_vector()[:12]
 
 
 class TestOutputClf:
@@ -75,10 +74,9 @@ class TestFblTerms:
             np.testing.assert_allclose(fd, pred, atol=1e-6)
 
     def test_decoupling_invertible_off_hover(self):
-        s = QuadState(p=np.zeros(3), v=np.zeros(3),
-                      q=np.array([0.4, -0.3, 1.2]),
-                      omega=np.array([0.5, -0.2, 0.1]))
-        terms = fbl_terms(s.as_vector(), P)
+        x = InitialState(q=(0.4, -0.3, 1.2),
+                         omega=(0.5, -0.2, 0.1)).as_vector()[:12]
+        terms = fbl_terms(x, P)
         assert abs(np.linalg.det(terms.A_x)) > 1e-6
 
 
@@ -256,10 +254,8 @@ class TestClfQp:
         clf = setup_output_clf()
         ref = OutputReference(y_d=np.array([-5.0, 0, 0, 0]),
                               y_d_dot=np.zeros(4), y_d_ddot=np.zeros(4))
-        s = QuadState(p=np.array([0.0, 0.0, 0.0]),
-                      v=np.array([0.0, 0.0, 2.0]),  # sinking fast
-                      q=np.zeros(3), omega=np.zeros(3))
-        u, report = clf_qp_controller(s.as_vector(), ref, tight, clf)
+        x = InitialState(v=(0.0, 0.0, 2.0)).as_vector()[:12]  # sinking fast
+        u, report = clf_qp_controller(x, ref, tight, clf)
         assert report.relaxed
         assert report.slack > 0.0
         assert np.all(u <= np.asarray(tight.u_max) + 1e-8)

@@ -13,7 +13,7 @@ from quadpend.harness import (CONTROLLERS, MAX_CONSECUTIVE_FAULTS, SERIES,
                               NoiseSpec, Scenario, ScenarioError, SimLog,
                               compute_metrics, count_overshoots, rms,
                               run_scenario, settling_time)
-from quadpend.models import (PendulumParams, PendulumState, QuadState,
+from quadpend.models import (InitialState, PendulumParams,
                              VehicleParams, coupled_derivative,
                              mixer_inverse, pendulum_drift_and_coupling)
 from quadpend.numerics import QpInfeasibleError, rk4_step
@@ -27,8 +27,7 @@ def hover_scenario(**kw):
         name="hover",
         controller="fbl-regulator",
         trajectory=TrajectorySpec(kind="set-point", setpoint=(0.0, 0.0, -2.0)),
-        initial_quad=QuadState(p=np.array([0.0, 0.0, -2.0]), v=np.zeros(3),
-                               q=np.zeros(3), omega=np.zeros(3)),
+        initial=InitialState(p=(0.0, 0.0, -2.0)),
         duration=1.0,
         dt=1e-3,
     )
@@ -64,9 +63,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             make()
 
+    def test_scenario_is_a_value(self):
+        assert Scenario() == Scenario()
+        assert hash(Scenario()) == hash(Scenario())
+        assert Scenario(initial=InitialState(pendulum=(0.1, 0.0, 0.0, 0.0))
+                        ) != Scenario()
+
     def test_pendulum_initial_defaults_upright(self):
         sc = hover_scenario(controller="pend-xi", pendulum=PendulumParams())
-        assert sc.initial_pend == PendulumState(0.0, 0.0, 0.0, 0.0)
+        assert sc.initial.pendulum == (0.0,) * 4
 
 
 # The quadpend.controllers functions each bundled controller reaches:
@@ -183,7 +188,7 @@ class TestNoiseInjection:
         noise_acc = rng.normal(0.0, spec.accel_std * scale, 3)
         noise_ang = rng.normal(0.0, spec.ang_accel_std * scale, 3)
         wrench = np.array([P.m * P.g, 0.0, 0.0, 0.0])
-        x = sc.initial_quad.as_vector()
+        x = sc.initial.as_vector()[:12]
         want = rk4_step(lambda xx: coupled_derivative(
             xx, wrench, P, None, noise_acc, noise_ang), x, dt)
         np.testing.assert_allclose(log.quad[1], want, rtol=0, atol=1e-15)
@@ -272,7 +277,8 @@ class TestEventsAndAborts:
         sc = hover_scenario(
             controller="pend-xi",
             pendulum=PendulumParams(),
-            initial_pend=PendulumState(0.45, 0.0, 3.0, 0.0),
+            initial=InitialState(p=(0.0, 0.0, -2.0),
+                                 pendulum=(0.45, 0.0, 3.0, 0.0)),
             duration=2.0)
         log = run_scenario(sc)
         assert log.aborted
@@ -374,7 +380,9 @@ class TestMetrics:
 
     def test_pendulum_metrics_present(self):
         sc = hover_scenario(controller="pend-xi", pendulum=PendulumParams(),
-                            initial_pend=PendulumState(0.02, 0.0, 0.0, 0.0),
+                            initial=InitialState(
+                                p=(0.0, 0.0, -2.0),
+                                pendulum=(0.02, 0.0, 0.0, 0.0)),
                             duration=1.0)
         m = run_scenario(sc).metrics
         for key in ("rms_pend_a", "rms_pend_b", "peak_pend_offset",

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from quadpend.models import (PendulumHorizontalError, PendulumParams,
-                             QuadState, SingularAttitudeError, VehicleParams,
+from quadpend.models import (InitialState, PendulumHorizontalError,
+                             PendulumParams, SingularAttitudeError,
+                             VehicleParams,
                              euler_rate_matrix, gravity_direction_map,
                              coupled_derivative, mixer_forward,
                              mixer_inverse, mixer_matrix,
@@ -142,25 +143,23 @@ class TestQuadDerivative:
     def test_hover_is_equilibrium(self):
         hover_u = P.m * P.g / (4.0 * P.rho * P.D ** 4 * P.C_T)
         wrench = mixer_forward(np.full(4, hover_u), P)
-        s = QuadState(p=np.array([0.0, 0.0, -2.0]), v=np.zeros(3),
-                      q=np.zeros(3), omega=np.zeros(3))
+        x = InitialState(p=(0.0, 0.0, -2.0)).as_vector()[:12]
         np.testing.assert_allclose(
-            coupled_derivative(s.as_vector(), wrench, P), np.zeros(12),
+            coupled_derivative(x, wrench, P), np.zeros(12),
             atol=1e-12)
 
     def test_free_fall(self):
         wrench = mixer_forward(np.zeros(4), P)
-        s = QuadState(p=np.zeros(3), v=np.zeros(3), q=np.zeros(3),
-                      omega=np.zeros(3))
-        dx = coupled_derivative(s.as_vector(), wrench, P)
+        x = InitialState().as_vector()[:12]
+        dx = coupled_derivative(x, wrench, P)
         np.testing.assert_allclose(dx[3:6], [0.0, 0.0, P.g], atol=1e-12)
 
     def test_gyroscopic_term(self):
         # Torque-free spin about a non-principal direction: Euler's equation
         # I w_dot = (I w) x w.
         w = np.array([1.0, 2.0, 3.0])
-        s = QuadState(p=np.zeros(3), v=np.zeros(3), q=np.zeros(3), omega=w)
-        dx = coupled_derivative(s.as_vector(), np.zeros(4), P)
+        x = InitialState(omega=tuple(w)).as_vector()[:12]
+        dx = coupled_derivative(x, np.zeros(4), P)
         expected = np.cross(P.inertia * w, w) / P.inertia
         np.testing.assert_allclose(dx[9:12], expected, rtol=1e-12)
 
@@ -168,18 +167,16 @@ class TestQuadDerivative:
         wrench = np.array([P.m * P.g, 0.0, 0.0, 0.0])
         q = np.array([0.3, -0.2, 0.7])
         w = np.array([0.1, -0.4, 0.2])
-        s = QuadState(p=np.zeros(3), v=np.array([1.0, 2.0, 3.0]), q=q,
-                      omega=w)
-        dx = coupled_derivative(s.as_vector(), wrench, P)
+        s = InitialState(v=(1.0, 2.0, 3.0), q=tuple(q), omega=tuple(w))
+        dx = coupled_derivative(s.as_vector()[:12], wrench, P)
         np.testing.assert_allclose(dx[0:3], s.v)
         np.testing.assert_allclose(dx[6:9], euler_rate_matrix(q) @ w)
 
     def test_singular_attitude_raises(self):
         wrench = np.array([P.m * P.g, 0.0, 0.0, 0.0])
-        s = QuadState(p=np.zeros(3), v=np.zeros(3),
-                      q=np.array([0.0, math.pi / 2, 0.0]), omega=np.zeros(3))
+        x = InitialState(q=(0.0, math.pi / 2, 0.0)).as_vector()[:12]
         with pytest.raises(SingularAttitudeError):
-            coupled_derivative(s.as_vector(), wrench, P)
+            coupled_derivative(x, wrench, P)
 
 
 class TestPendulum:
@@ -242,10 +239,12 @@ class TestPendulum:
             pendulum_accel([0.5, 0.0, 0.0, 0.0], np.zeros(3), self.PP, P.g)
 
 
-class TestQuadState:
+class TestInitialState:
     def test_as_vector_order(self):
-        # x = [p, v, q, omega], the layout coupled_derivative reads.
-        s = QuadState(p=np.array([0.0, 1.0, 2.0]), v=np.array([3.0, 4.0, 5.0]),
-                      q=np.array([6.0, 7.0, 8.0]),
-                      omega=np.array([9.0, 10.0, 11.0]))
-        np.testing.assert_array_equal(s.as_vector(), np.arange(12.0))
+        # x = [p, v, q, omega, a, b, a_dot, b_dot], the layout
+        # coupled_derivative reads.
+        s = InitialState(p=(0.0, 1.0, 2.0), v=(3.0, 4.0, 5.0),
+                         q=(6.0, 7.0, 8.0), omega=(9.0, 10.0, 11.0),
+                         pendulum=(12.0, 13.0, 14.0, 15.0))
+        np.testing.assert_array_equal(s.as_vector(), np.arange(16.0))
+        assert s.as_vector().dtype == np.float64
