@@ -203,6 +203,10 @@ def load_scenarios(path: Path, overrides=(), seed=None):
             apply_override(vdoc, dotted, value)
         if seed is not None:
             vdoc["seed"] = seed
+        if "batch" in vdoc:
+            raise ValidationError(
+                "batch can be set only at the top level of the file, not by "
+                "--set or in a batch entry")
         _check_keys(vdoc, schema, raw)
         sc = build_scenario(vdoc, default_name=path.stem)
         if suffix:

@@ -16,6 +16,8 @@ Position-to-attitude force allocation (zero yaw) bridges desired
 accelerations and attitude set-points for the inner loop.
 The quadrotor laws read the state vector x (layout in ``models``) and
 return the four rotor commands u; the pendulum laws read x[12:16].
+The three quadrotor laws each make one ``output_dynamics(x, p)`` call for
+the output, its derivative, the drift Lf_h and the decoupling matrix A(x).
 """
 
 import math
@@ -26,21 +28,13 @@ import numpy as np
 from .models import (PendulumParams, SingularAttitudeError, VehicleParams,
                      euler_rate_matrix, mixer_matrix,
                      pendulum_drift_and_coupling)
-from .numerics import CareProblem, QpProblem, QpInfeasibleError, solve_care, solve_qp
+from .numerics import QpProblem, QpInfeasibleError, solve_care, solve_qp
 
 DECOUPLING_MARGIN = 1e-6
 
 
 class AllocationError(ValueError):
     """Desired force vector too small to define a thrust direction."""
-
-
-@dataclass(frozen=True)
-class FblTerms:
-    """Drift vector and decoupling matrix of the output dynamics."""
-
-    Lf_h: np.ndarray  # (4,)
-    A_x: np.ndarray   # (4, 4), acts on the body wrench [f_z, tau]
 
 
 @dataclass(frozen=True)
@@ -95,8 +89,8 @@ class OutputClf:
 
 def setup_output_clf(q_care=TrackingGains.q_care) -> OutputClf:
     F, G = output_error_matrices()
-    Q = np.eye(8) * float(q_care) if np.isscalar(q_care) else np.asarray(q_care)
-    P = solve_care(CareProblem(F=F, G=G, Q=Q))
+    Q = np.eye(8) * float(q_care)
+    P = solve_care(F, G, Q)
     c3 = float(np.min(np.linalg.eigvalsh(Q)) / np.max(np.linalg.eigvalsh(P)))
     return OutputClf(P=P, c3=c3, F=F, G=G)
 
@@ -118,16 +112,10 @@ def _euler_rate_jacobian(q, omega):
     return J
 
 
-def output_vector(x):
-    """Output y = [p_Z, phi, theta, psi] and its derivative."""
-    y = np.array([x[2], x[6], x[7], x[8]])
-    q_dot = euler_rate_matrix(x[6:9]) @ x[9:12]
-    y_dot = np.concatenate([[x[5]], q_dot])
-    return y, y_dot
-
-
-def fbl_terms(x, p: VehicleParams) -> FblTerms:
-    """Drift Lf_h and decoupling A(x) of the second output derivative."""
+def output_dynamics(x, p: VehicleParams):
+    """Output y = [p_Z, phi, theta, psi], its derivative y_dot, and the drift
+    Lf_h and decoupling A(x) of its second derivative y_ddot = Lf_h + A(x) w,
+    with w the body wrench [f_z, tau]."""
     q, omega = x[6:9], x[9:12]
     phi, theta = float(q[0]), float(q[1])
     cc = math.cos(phi) * math.cos(theta)
@@ -140,37 +128,37 @@ def fbl_terms(x, p: VehicleParams) -> FblTerms:
     gyro = np.cross(Iw, omega) / I
     q_dot = Z @ omega
     Lf_att = _euler_rate_jacobian(q, omega) @ q_dot + Z @ gyro
+    y = np.array([x[2], x[6], x[7], x[8]])
+    y_dot = np.concatenate([[x[5]], q_dot])
     Lf_h = np.concatenate([[p.g], Lf_att])
     A_x = np.zeros((4, 4))
     A_x[0, 0] = -cc / p.m
     A_x[1:, 1:] = Z / I  # Z @ diag(1/I)
-    return FblTerms(Lf_h=Lf_h, A_x=A_x)
+    return y, y_dot, Lf_h, A_x
 
 
-def _decoupling_inverse(terms: FblTerms, p: VehicleParams):
+def _decoupling_inverse(A_x, p: VehicleParams):
     """(A(x) B)^-1 mapping virtual output accelerations to rotor commands."""
-    return np.linalg.inv(terms.A_x @ mixer_matrix(p))
+    return np.linalg.inv(A_x @ mixer_matrix(p))
 
 
 def fbl_regulator(x, y_d, p: VehicleParams, clf: OutputClf) -> np.ndarray:
     """Set-point regulation u = (A(x)B)^-1 (-Lf_h - G'P eta)."""
-    terms = fbl_terms(x, p)
-    y, y_dot = output_vector(x)
+    y, y_dot, Lf_h, A_x = output_dynamics(x, p)
     eta = np.concatenate([y - np.asarray(y_d, dtype=float), y_dot])
     v = -(clf.P @ eta)[4:]
-    return _decoupling_inverse(terms, p) @ (-terms.Lf_h + v)
+    return _decoupling_inverse(A_x, p) @ (-Lf_h + v)
 
 
 def fbl_tracker(x, ref: OutputReference, p: VehicleParams,
                 alpha1=TrackingGains.alpha1,
                 alpha2=TrackingGains.alpha2) -> np.ndarray:
     """PD trajectory tracking with exact feedforward of the reference."""
-    terms = fbl_terms(x, p)
-    y, y_dot = output_vector(x)
+    y, y_dot, Lf_h, A_x = output_dynamics(x, p)
     w = (ref.y_d_ddot
          - np.asarray(alpha2) * (y_dot - ref.y_d_dot)
          - np.asarray(alpha1) * (y - ref.y_d))
-    return _decoupling_inverse(terms, p) @ (-terms.Lf_h + w)
+    return _decoupling_inverse(A_x, p) @ (-Lf_h + w)
 
 
 def attitude_from_force(f_d, m: float):
@@ -228,16 +216,15 @@ def clf_qp_controller(x, ref: OutputReference, p: VehicleParams,
     row is relaxed with an L1-penalized slack and the step is flagged.
     Returns (u, QpReport).
     """
-    terms = fbl_terms(x, p)
-    M = _decoupling_inverse(terms, p)
-    y, y_dot = output_vector(x)
+    y, y_dot, Lf_h, A_x = output_dynamics(x, p)
+    M = _decoupling_inverse(A_x, p)
     eta = np.concatenate([y - ref.y_d, y_dot - ref.y_d_dot])
     P, F, G = clf.P, clf.F, clf.G
 
     # u = M (v + y_d_ddot - Lf_h); error dynamics eta_dot = F eta + G v.
     clf_row = 2.0 * (eta @ P @ G)
     clf_rhs = -float(eta @ (F.T @ P + P @ F + clf.c3 * P) @ eta)
-    shift = M @ (ref.y_d_ddot - terms.Lf_h)
+    shift = M @ (ref.y_d_ddot - Lf_h)
     u_min = np.asarray(p.u_min, dtype=float)
     u_max = np.asarray(p.u_max, dtype=float)
 
@@ -352,7 +339,7 @@ def setup_pendulum_lqr(g: float, L: float, q_lqr, r_lqr):
     A, B = pendulum_linear_system(g, L)
     Q = np.diag(np.asarray(q_lqr, dtype=float))
     R = np.diag(np.asarray(r_lqr, dtype=float))
-    P = solve_care(CareProblem(F=A, G=B, Q=Q, R=R))
+    P = solve_care(A, B, Q, R)
     return np.linalg.solve(R, B.T @ P)
 
 

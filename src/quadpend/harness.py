@@ -74,6 +74,9 @@ class Scenario:
         if CONTROLLERS[self.controller].pendulum and self.pendulum is None:
             raise ScenarioError(
                 f"controller {self.controller!r} requires pendulum parameters")
+        if self.pendulum is None and any(self.initial.pendulum):
+            raise ScenarioError(
+                "initial.pendulum is set but there is no pendulum section")
 
     @property
     def has_pendulum(self):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 
 class NonFiniteDerivativeError(RuntimeError):
@@ -47,40 +46,19 @@ def rk4_step(deriv, x, dt, t=None):
     return out
 
 
-@dataclass(frozen=True)
-class CareProblem:
-    """F'P + PF - P G R^-1 G' P + Q = 0 with symmetric positive definite Q, R."""
-
-    F: np.ndarray
-    G: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray = None
-
-    def __post_init__(self):
-        F = np.atleast_2d(np.asarray(self.F, dtype=float))
-        G = np.asarray(self.G, dtype=float)
-        if G.ndim == 1:
-            G = G[:, None]
-        Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        R = self.R
-        if R is None:
-            R = np.eye(G.shape[1])
-        R = np.atleast_2d(np.asarray(R, dtype=float))
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", R)
-
-
-def care_residual(prob: CareProblem, P) -> float:
-    F, G, Q, R = prob.F, prob.G, prob.Q, prob.R
+def care_residual(F, G, Q, R, P) -> float:
     S = G @ np.linalg.solve(R, G.T)
     return np.linalg.norm(F.T @ P + P @ F - P @ S @ P + Q, "fro")
 
 
-def solve_care(prob: CareProblem) -> np.ndarray:
-    """Stabilizing solution of the continuous algebraic Riccati equation."""
-    F, G, Q, R = prob.F, prob.G, prob.Q, prob.R
+def solve_care(F, G, Q, R=None) -> np.ndarray:
+    """Stabilizing solution P of F'P + PF - P G R^-1 G' P + Q = 0.
+
+    F, G, Q and R are 2-D float arrays; Q must be symmetric positive
+    semidefinite and R symmetric positive definite (R = I when None).
+    """
+    if R is None:
+        R = np.eye(G.shape[1])
     n = F.shape[0]
     if not np.allclose(Q, Q.T):
         raise CareError("Q must be symmetric")
@@ -111,7 +89,7 @@ def solve_care(prob: CareProblem) -> np.ndarray:
     # the current gain and is quadratically convergent near the solution.
     qnorm = np.linalg.norm(Q, "fro")
     for _ in range(10):
-        if care_residual(prob, P) < 1e-10 * max(qnorm, 1.0):
+        if care_residual(F, G, Q, R, P) < 1e-10 * max(qnorm, 1.0):
             break
         K = np.linalg.solve(R, G.T @ P)
         Acl = F - G @ K
@@ -124,7 +102,7 @@ def solve_care(prob: CareProblem) -> np.ndarray:
             break
         P = P_next
 
-    if not care_residual(prob, P) < 1e-8 * max(qnorm, 1.0):  # NaN fails
+    if not care_residual(F, G, Q, R, P) < 1e-8 * max(qnorm, 1.0):  # NaN fails
         raise CareError("CARE residual contract not met")
     if np.min(np.linalg.eigvalsh(P)) <= 0:
         raise CareError("CARE solution is not positive definite")
@@ -185,6 +163,7 @@ def _feasible_start(A, b, n, tol):
     c[-1] = 1.0
     A_ub = np.hstack([A, -np.ones((k, 1))])
     bounds = [(None, None)] * n + [(0, None)]
+    import scipy.optimize  # only here: it costs a quarter second to import
     res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b, bounds=bounds,
                                  method="highs")
     if not res.success or res.x[-1] > 1e-7:

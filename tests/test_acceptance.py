@@ -18,8 +18,8 @@ from quadpend.harness import NoiseSpec, Scenario, run_scenario
 from quadpend.models import (InitialState, PendulumParams,
                              VehicleParams, coupled_derivative,
                              euler_rate_matrix, mixer_forward, mixer_inverse)
-from quadpend.numerics import (CareProblem, QpProblem, care_residual,
-                               rk4_step, solve_care, solve_qp)
+from quadpend.numerics import (QpProblem, care_residual, rk4_step,
+                               solve_care, solve_qp)
 from quadpend.trajectories import SetpointDifferentiator, TrajectorySpec
 
 from helpers import pendulum_accel
@@ -123,18 +123,18 @@ def test_criterion_02_numerics():
     # CARE: double integrator and the stacked 8x8 output-error system.
     F2 = np.array([[0.0, 1.0], [0.0, 0.0]])
     G2 = np.array([[0.0], [1.0]])
-    prob2 = CareProblem(F=F2, G=G2, Q=np.eye(2))
-    P2 = solve_care(prob2)
-    res2 = care_residual(prob2, P2) / np.linalg.norm(np.eye(2))
+    P2 = solve_care(F2, G2, np.eye(2))
+    res2 = (care_residual(F2, G2, np.eye(2), np.eye(1), P2)
+            / np.linalg.norm(np.eye(2)))
     hurwitz2 = np.max(np.linalg.eigvals(
-        F2 - G2 @ np.linalg.solve(prob2.R, G2.T @ P2)).real) < 0
+        F2 - G2 @ np.linalg.solve(np.eye(1), G2.T @ P2)).real) < 0
 
     F8, G8 = output_error_matrices()
-    prob8 = CareProblem(F=F8, G=G8, Q=np.eye(8))
-    P8 = solve_care(prob8)
-    res8 = care_residual(prob8, P8) / np.linalg.norm(np.eye(8))
+    P8 = solve_care(F8, G8, np.eye(8))
+    res8 = (care_residual(F8, G8, np.eye(8), np.eye(4), P8)
+            / np.linalg.norm(np.eye(8)))
     hurwitz8 = np.max(np.linalg.eigvals(
-        F8 - G8 @ np.linalg.solve(prob8.R, G8.T @ P8)).real) < 0
+        F8 - G8 @ np.linalg.solve(np.eye(4), G8.T @ P8)).real) < 0
 
     # QP vs the brute-force active-set enumeration oracle.
     rng = np.random.default_rng(101)

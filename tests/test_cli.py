@@ -3,6 +3,8 @@
 import concurrent.futures
 import csv
 import json
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -124,6 +126,22 @@ class TestValidate:
             errs.append(capsys.readouterr().err)
         assert "initial.position must be a number, got None" in errs[0]
         assert errs[1] == errs[0].replace("position", "pendulum")
+
+    def test_initial_pendulum_without_pendulum_rejected(self, tmp_path,
+                                                        capsys):
+        text = ("controller: fbl-tracker\n"
+                "initial: {pendulum: [0.3, 0.0, 0.0, 0.0]}\n")
+        assert main(["validate", write(tmp_path, text)]) == EXIT_VALIDATION
+        assert "initial.pendulum" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize takes a quarter second to import and only the QP's
+        # phase-1 LP needs it.
+        src = str(Path(cli.__file__).parents[1])
+        code = (f"import sys; sys.path.insert(0, {src!r}); "
+                "import quadpend.cli; "
+                "sys.exit('scipy.optimize' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     def test_loading_twice_gives_equal_scenarios(self):
         path = shipped_scenario_path("fig6-pend-balance.scn")
@@ -422,9 +440,13 @@ batch:
         assert sizes == [2]
 
     def test_malformed_batch_rejected(self, tmp_path, capsys):
-        for text in ("batch:\n  - 3\n", "batch: []\n"):
+        for text in ("batch:\n  - 3\n", "batch: []\n",
+                     "batch:\n  - set: {batch: 5}\n"):
             rc = main(["validate", write(tmp_path, HOVER + text)])
             assert rc == EXIT_VALIDATION
+        rc = main(["validate", write(tmp_path, HOVER),
+                   "--set", "batch=[{set: {gains.kp: 2}}]"])
+        assert rc == EXIT_VALIDATION
         rc = main(["validate", write(tmp_path, HOVER + """\
 batch:
   - set: {gains.kp: 5.0}

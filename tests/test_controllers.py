@@ -8,8 +8,8 @@ import pytest
 from quadpend.controllers import (AllocationError, OutputClf, OutputReference,
                                   PendulumCouplingError, TrackingGains,
                                   attitude_from_force, clf_qp_controller,
-                                  fbl_regulator, fbl_terms, fbl_tracker,
-                                  output_error_matrices, output_vector,
+                                  fbl_regulator, fbl_tracker,
+                                  output_dynamics, output_error_matrices,
                                   pendulum_fbl_xi, pendulum_fbl_xi_prime,
                                   pendulum_linear_system,
                                   pendulum_position_lqr, position_allocation,
@@ -47,13 +47,11 @@ class TestOutputClf:
 
 class TestFblTerms:
     def test_hover(self):
-        terms = fbl_terms(hover_state(), P)
-        np.testing.assert_allclose(terms.Lf_h, [P.g, 0.0, 0.0, 0.0],
+        _, _, Lf_h, A_x = output_dynamics(hover_state(), P)
+        np.testing.assert_allclose(Lf_h, [P.g, 0.0, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(A_x[0], [-1.0 / P.m, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(A_x[1:, 1:], np.diag(1.0 / P.inertia),
                                    atol=1e-15)
-        np.testing.assert_allclose(terms.A_x[0], [-1.0 / P.m, 0, 0, 0],
-                                   atol=1e-15)
-        np.testing.assert_allclose(terms.A_x[1:, 1:],
-                                   np.diag(1.0 / P.inertia), atol=1e-15)
 
     def test_second_derivative_oracle(self):
         # d/dt of y_dot along the flow must equal Lf_h + A(x) u, checked by
@@ -65,19 +63,19 @@ class TestFblTerms:
             hover_u = P.m * P.g / (4.0 * P.rho * P.D ** 4 * P.C_T)
             u = hover_u * (1.0 + 0.1 * rng.normal(size=4))
             wrench = mixer_forward(u, P)
-            terms = fbl_terms(x, P)
-            pred = terms.Lf_h + terms.A_x @ wrench
+            _, _, Lf_h, A_x = output_dynamics(x, P)
+            pred = Lf_h + A_x @ wrench
             f = coupled_derivative(x, wrench, P)
-            _, yd_plus = output_vector(x + h * f)
-            _, yd_minus = output_vector(x - h * f)
+            _, yd_plus, _, _ = output_dynamics(x + h * f, P)
+            _, yd_minus, _, _ = output_dynamics(x - h * f, P)
             fd = (yd_plus - yd_minus) / (2.0 * h)
             np.testing.assert_allclose(fd, pred, atol=1e-6)
 
     def test_decoupling_invertible_off_hover(self):
         x = InitialState(q=(0.4, -0.3, 1.2),
                          omega=(0.5, -0.2, 0.1)).as_vector()[:12]
-        terms = fbl_terms(x, P)
-        assert abs(np.linalg.det(terms.A_x)) > 1e-6
+        _, _, _, A_x = output_dynamics(x, P)
+        assert abs(np.linalg.det(A_x)) > 1e-6
 
 
 class TestFblRegulator:
@@ -95,7 +93,7 @@ class TestFblRegulator:
         n = int(round(duration / dt))
         etas = np.zeros((n + 1, 8))
         for i in range(n + 1):
-            y, y_dot = output_vector(x)
+            y, y_dot, _, _ = output_dynamics(x, P)
             etas[i] = np.concatenate([y - self.Y_D, y_dot])
             if i == n:
                 break
@@ -235,7 +233,7 @@ class TestClfQp:
             u, report = clf_qp_controller(x, ref, P, clf)
             assert np.all(u >= np.asarray(P.u_min) - 1e-8)
             assert np.all(u <= np.asarray(P.u_max) + 1e-8)
-            y, y_dot = output_vector(x)
+            y, y_dot, _, _ = output_dynamics(x, P)
             eta = np.concatenate([y - ref.y_d, y_dot])
             V = float(eta @ clf.P @ eta)
             if V_prev is not None and not report.relaxed:

@@ -44,6 +44,10 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             hover_scenario(controller="pend-xi")
 
+    def test_initial_pendulum_needs_pendulum(self):
+        with pytest.raises(ScenarioError, match="initial.pendulum"):
+            hover_scenario(initial=InitialState(pendulum=(0.3, 0.0, 0.0, 0.0)))
+
     def test_nonpositive_dt(self):
         with pytest.raises(ScenarioError):
             hover_scenario(dt=0.0)
@@ -66,8 +70,9 @@ class TestScenarioValidation:
     def test_scenario_is_a_value(self):
         assert Scenario() == Scenario()
         assert hash(Scenario()) == hash(Scenario())
-        assert Scenario(initial=InitialState(pendulum=(0.1, 0.0, 0.0, 0.0))
-                        ) != Scenario()
+        assert Scenario(pendulum=PendulumParams(),
+                        initial=InitialState(pendulum=(0.1, 0.0, 0.0, 0.0))
+                        ) != Scenario(pendulum=PendulumParams())
 
     def test_pendulum_initial_defaults_upright(self):
         sc = hover_scenario(controller="pend-xi", pendulum=PendulumParams())

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from quadpend.numerics import (CareError, CareProblem, NonFiniteDerivativeError,
+from quadpend.numerics import (CareError, NonFiniteDerivativeError,
                                QpInfeasibleError, QpProblem, QpResult,
                                care_residual, rk4_step, solve_care, solve_qp)
 
@@ -67,11 +67,11 @@ class TestCare:
         # P = [[sqrt(3), 1], [1, sqrt(3)]].
         F = np.array([[0.0, 1.0], [0.0, 0.0]])
         G = np.array([[0.0], [1.0]])
-        prob = CareProblem(F=F, G=G, Q=np.eye(2))
-        P = solve_care(prob)
+        P = solve_care(F, G, np.eye(2))
         s3 = math.sqrt(3.0)
         np.testing.assert_allclose(P, [[s3, 1.0], [1.0, s3]], rtol=1e-12)
-        assert care_residual(prob, P) < 1e-8 * np.linalg.norm(np.eye(2))
+        assert (care_residual(F, G, np.eye(2), np.eye(1), P)
+                < 1e-8 * np.linalg.norm(np.eye(2)))
 
     def test_residual_and_hurwitz_random(self):
         rng = np.random.default_rng(10)
@@ -80,12 +80,12 @@ class TestCare:
             F = rng.normal(size=(n, n))
             G = rng.normal(size=(n, m))
             Q = np.eye(n)
-            prob = CareProblem(F=F, G=G, Q=Q)
-            P = solve_care(prob)
+            P = solve_care(F, G, Q)
             np.testing.assert_allclose(P, P.T, atol=1e-10)
             assert np.all(np.linalg.eigvalsh(P) > 0)
-            assert care_residual(prob, P) < 1e-8 * np.linalg.norm(Q)
-            closed = F - G @ np.linalg.solve(prob.R, G.T @ P)
+            assert (care_residual(F, G, Q, np.eye(m), P)
+                    < 1e-8 * np.linalg.norm(Q))
+            closed = F - G @ np.linalg.solve(np.eye(m), G.T @ P)
             assert np.max(np.linalg.eigvals(closed).real) < 0
 
     def test_output_error_block_system(self):
@@ -95,7 +95,7 @@ class TestCare:
         F[:4, 4:] = np.eye(4)
         G = np.zeros((8, 4))
         G[4:, :] = np.eye(4)
-        P = solve_care(CareProblem(F=F, G=G, Q=np.eye(8)))
+        P = solve_care(F, G, np.eye(8))
         s3 = math.sqrt(3.0)
         expect = np.block([[s3 * np.eye(4), np.eye(4)],
                            [np.eye(4), s3 * np.eye(4)]])
@@ -105,13 +105,13 @@ class TestCare:
         F = np.array([[0.0, 1.0], [0.0, 0.0]])
         G = np.array([[0.0], [1.0]])
         with pytest.raises(CareError):
-            solve_care(CareProblem(F=F, G=G, Q=np.diag([1.0, -1.0])))
+            solve_care(F, G, np.diag([1.0, -1.0]))
 
     def test_rejects_nonstabilizable_pair(self):
         F = np.array([[1.0]])
         G = np.array([[0.0]])
         with pytest.raises(CareError):
-            solve_care(CareProblem(F=F, G=G, Q=np.eye(1)))
+            solve_care(F, G, np.eye(1))
 
 
 def enumerate_qp(H, f, A, b, tol=1e-9):
