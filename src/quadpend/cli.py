@@ -14,6 +14,7 @@ import copy
 import json
 import math
 import sys
+import unicodedata
 from dataclasses import fields, is_dataclass
 from importlib import resources
 from itertools import chain, repeat
@@ -215,6 +216,9 @@ def load_scenarios(path: Path, overrides=(), seed=None):
         if any(part in sc.name for part in ("/", "\\", "..")):
             raise ValidationError(
                 f"name {sc.name!r} must not contain '/', '\\' or '..'")
+        if any(unicodedata.category(ch) == "Cc" for ch in sc.name):
+            raise ValidationError(
+                f"name {sc.name!r} must not contain control characters")
         if any(sc.name == other.name for other in scenarios):
             raise ValidationError(f"two runs are named {sc.name!r}")
         scenarios.append(sc)

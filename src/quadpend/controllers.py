@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import (PendulumParams, SingularAttitudeError, VehicleParams,
-                     euler_rate_matrix, mixer_matrix,
-                     pendulum_drift_and_coupling)
+                     cross3, euler_rate_matrix, pendulum_drift_and_coupling)
 from .numerics import QpProblem, QpInfeasibleError, solve_care, solve_qp
 
 DECOUPLING_MARGIN = 1e-6
@@ -79,12 +78,17 @@ def output_error_matrices():
 
 @dataclass(frozen=True)
 class OutputClf:
-    """CARE-based CLF for the output error dynamics: V = eta' P eta."""
+    """CARE-based CLF for the output error dynamics: V = eta' P eta.
+
+    decay is F'P + PF + c3 P, so that V_dot + c3 V = eta' decay eta + the
+    input term; it is read-only.
+    """
 
     P: np.ndarray
     c3: float
     F: np.ndarray
     G: np.ndarray
+    decay: np.ndarray
 
 
 def setup_output_clf(q_care=TrackingGains.q_care) -> OutputClf:
@@ -92,7 +96,9 @@ def setup_output_clf(q_care=TrackingGains.q_care) -> OutputClf:
     Q = np.eye(8) * float(q_care)
     P = solve_care(F, G, Q)
     c3 = float(np.min(np.linalg.eigvalsh(Q)) / np.max(np.linalg.eigvalsh(P)))
-    return OutputClf(P=P, c3=c3, F=F, G=G)
+    decay = F.T @ P + P @ F + c3 * P
+    decay.flags.writeable = False
+    return OutputClf(P=P, c3=c3, F=F, G=G, decay=decay)
 
 
 def _euler_rate_jacobian(q, omega):
@@ -125,7 +131,7 @@ def output_dynamics(x, p: VehicleParams):
     Z = euler_rate_matrix(q)
     I = p.inertia
     Iw = I * omega
-    gyro = np.cross(Iw, omega) / I
+    gyro = cross3(Iw, omega) / I
     q_dot = Z @ omega
     Lf_att = _euler_rate_jacobian(q, omega) @ q_dot + Z @ gyro
     y = np.array([x[2], x[6], x[7], x[8]])
@@ -139,7 +145,7 @@ def output_dynamics(x, p: VehicleParams):
 
 def _decoupling_inverse(A_x, p: VehicleParams):
     """(A(x) B)^-1 mapping virtual output accelerations to rotor commands."""
-    return np.linalg.inv(A_x @ mixer_matrix(p))
+    return np.linalg.inv(A_x @ p.mixer)
 
 
 def fbl_regulator(x, y_d, p: VehicleParams, clf: OutputClf) -> np.ndarray:
@@ -219,14 +225,12 @@ def clf_qp_controller(x, ref: OutputReference, p: VehicleParams,
     y, y_dot, Lf_h, A_x = output_dynamics(x, p)
     M = _decoupling_inverse(A_x, p)
     eta = np.concatenate([y - ref.y_d, y_dot - ref.y_d_dot])
-    P, F, G = clf.P, clf.F, clf.G
 
     # u = M (v + y_d_ddot - Lf_h); error dynamics eta_dot = F eta + G v.
-    clf_row = 2.0 * (eta @ P @ G)
-    clf_rhs = -float(eta @ (F.T @ P + P @ F + clf.c3 * P) @ eta)
+    clf_row = 2.0 * (eta @ clf.P @ clf.G)
+    clf_rhs = -float(eta @ clf.decay @ eta)
     shift = M @ (ref.y_d_ddot - Lf_h)
-    u_min = np.asarray(p.u_min, dtype=float)
-    u_max = np.asarray(p.u_max, dtype=float)
+    u_min, u_max = p.rotor_bounds
 
     A = np.vstack([clf_row, M, -M])
     b = np.concatenate([[clf_rhs], u_max - shift, -(u_min - shift)])

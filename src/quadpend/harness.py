@@ -19,10 +19,13 @@ from . import models
 from .models import (PENDULUM_MARGIN, InitialState, PendulumHorizontalError,
                      PendulumParams, SingularAttitudeError, VehicleParams)
 from .numerics import (CareError, NonFiniteDerivativeError,
-                       QpInfeasibleError, rk4_step)
+                       QpInfeasibleError, QpNotConvergedError, rk4_step)
 from .trajectories import SetpointDifferentiator, TrajectorySpec, sample_trajectory
 
 MAX_CONSECUTIVE_FAULTS = 50
+# Largest duration / dt a scenario may ask for.  The log is preallocated,
+# at roughly 300 bytes a step, so this bounds a run's log to about 3 GB.
+MAX_STEPS = 10 ** 7
 
 
 class ScenarioError(ValueError):
@@ -69,6 +72,10 @@ class Scenario:
             raise ScenarioError(f"unknown controller {self.controller!r}")
         if not (0 < self.duration < math.inf and 0 < self.dt < math.inf):
             raise ScenarioError("duration and dt must be positive and finite")
+        if not self.duration / self.dt <= MAX_STEPS:  # inf when it overflows
+            raise ScenarioError(
+                f"duration / dt is {self.duration / self.dt:.3g} steps, above "
+                f"the limit of {MAX_STEPS}")
         if self.seed < 0:
             raise ScenarioError("seed must be nonnegative")
         if CONTROLLERS[self.controller].pendulum and self.pendulum is None:
@@ -281,8 +288,7 @@ def run_scenario(sc: Scenario) -> SimLog:
     rng = np.random.default_rng(sc.seed)
     prev = None  # the last step's (u, wrench)
     consecutive_faults = 0
-    u_min = np.asarray(p.u_min, dtype=float)
-    u_max = np.asarray(p.u_max, dtype=float)
+    u_min, u_max = p.rotor_bounds
     noise_scale = math.sqrt(sc.noise.dt_ref / sc.dt) if sc.noise.enabled else 0.0
 
     for i in steps:
@@ -313,7 +319,7 @@ def run_scenario(sc: Scenario) -> SimLog:
                 log.abort(t, "persistent QP infeasibility")
         except (SingularAttitudeError, PendulumHorizontalError,
                 ctl.PendulumCouplingError, ctl.AllocationError,
-                np.linalg.LinAlgError) as exc:
+                QpNotConvergedError, np.linalg.LinAlgError) as exc:
             log.abort(t, str(exc))
             break
 

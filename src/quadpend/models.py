@@ -23,10 +23,17 @@ offset from the vehicle CoM is (a, b, zeta) with zeta = sqrt(L^2 - a^2 - b^2):
     [a_ddot, b_ddot] = f_p(a, b, adot, bdot) + B_p(a, b) * p_ddot
 
 A run's initial condition is an InitialState, stated in this layout of x.
+
+Call overhead on 3-vectors, not arithmetic, sets the cost of a step.  So
+cross3(a, b) computes np.cross's operations, in its order, on Python floats,
+and each VehicleParams builds its constants once, as read-only arrays: the
+mixer matrix (mixer), the inertia diagonal (inertia) and the rotor command
+bounds (rotor_bounds).  Both keep every output bit.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,9 +80,27 @@ class VehicleParams:
         if not all(lo < hi for lo, hi in zip(self.u_min, self.u_max)):
             raise ValueError("u_min must be below u_max elementwise")
 
-    @property
+    # Cached per instance; a frozen dataclass compares and hashes by its
+    # fields only, so the cache changes neither.
+    @cached_property
     def inertia(self):
-        return np.asarray(self.I_diag, dtype=float)
+        return _read_only(np.asarray(self.I_diag, dtype=float))
+
+    @cached_property
+    def mixer(self):
+        """mixer_matrix(self), built once."""
+        return _read_only(mixer_matrix(self))
+
+    @cached_property
+    def rotor_bounds(self):
+        """(u_min, u_max) as float arrays."""
+        return (_read_only(np.asarray(self.u_min, dtype=float)),
+                _read_only(np.asarray(self.u_max, dtype=float)))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -122,12 +147,21 @@ def mixer_matrix(p: VehicleParams) -> np.ndarray:
 
 def mixer_forward(u, p: VehicleParams) -> np.ndarray:
     """Body wrench [f_z, tau_x, tau_y, tau_z] produced by rotor commands u."""
-    return mixer_matrix(p) @ np.asarray(u, dtype=float)
+    return p.mixer @ np.asarray(u, dtype=float)
 
 
 def mixer_inverse(wrench, p: VehicleParams) -> np.ndarray:
     """Rotor commands realizing a wrench exactly; no clamping applied here."""
-    return np.linalg.solve(mixer_matrix(p), np.asarray(wrench, dtype=float))
+    return np.linalg.solve(p.mixer, np.asarray(wrench, dtype=float))
+
+
+def cross3(a, b) -> np.ndarray:
+    """np.cross(a, b) of two 3-vectors, bit for bit, without its overhead."""
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return np.array([a1 * b2 - a2 * b1,
+                     a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0])
 
 
 def gravity_direction_map(q, m: float) -> np.ndarray:
@@ -204,7 +238,7 @@ def coupled_derivative(x, wrench, p: VehicleParams, pp: PendulumParams = None,
         v_dot = v_dot + noise_acc
     q_dot = euler_rate_matrix(q) @ omega
     I = p.inertia
-    w_dot = (np.cross(I * omega, omega) + wrench[1:4]) / I
+    w_dot = (cross3(I * omega, omega) + wrench[1:4]) / I
     if noise_ang is not None:
         w_dot = w_dot + noise_ang
     out = np.concatenate([v, v_dot, q_dot, w_dot])

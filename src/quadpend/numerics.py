@@ -24,6 +24,10 @@ class CareError(RuntimeError):
     """No stabilizing CARE solution (pair not stabilizable) or bad problem."""
 
 
+class QpNotConvergedError(RuntimeError):
+    """The active-set QP did not converge within QP_MAX_ITER iterations."""
+
+
 class QpInfeasibleError(RuntimeError):
     """QP has an empty feasible region."""
 
@@ -232,4 +236,5 @@ def solve_qp(prob: QpProblem) -> QpResult:
         if blocker is not None:
             work.append(blocker)
 
-    raise RuntimeError("active-set QP did not converge")
+    raise QpNotConvergedError(
+        f"active-set QP did not converge in {QP_MAX_ITER} iterations")

@@ -48,6 +48,14 @@ class TrajectorySpec:
             raise ValueError("radius must be nonnegative")
         if not math.isfinite(self.rate):
             raise ValueError("rate must be finite")
+        # sample_trajectory divides by the square of each when it is positive.
+        for key in ("transition_time", "blend_window"):
+            value = getattr(self, key)
+            square = value * value
+            if value > 0 and not (0 < square < math.inf
+                                  and 1.0 / square < math.inf):
+                raise ValueError(f"{key} {value!r} is out of range: its "
+                                 "square underflows or overflows")
 
 
 def _smoothstep5(s):

@@ -178,6 +178,27 @@ class TestValidate:
         assert "name" in capsys.readouterr().err
         assert list(tmp_path.rglob("*.csv")) == []
 
+    @pytest.mark.parametrize("text, key", [
+        (HOVER.replace("dt: 0.001", "dt: 1.0e-300").replace(
+            "duration: 0.05", "duration: 1.0e+300"), "duration / dt"),
+        (HOVER.replace("name: hover-test", 'name: "a\\0b"'), "name"),
+        (HOVER.replace("kind: set-point", "kind: takeoff-then-circle\n"
+                       "  transition_time: 1.0e-320"), "transition_time"),
+        (HOVER.replace("kind: set-point", "kind: takeoff-then-circle\n"
+                       "  transition_time: 0.0\n  blend_window: 1.0e-320"),
+         "blend_window")],
+        ids=["steps-overflow", "nul-in-name", "transition-time-underflow",
+             "blend-window-underflow"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_value_that_broke_a_run_rejected(self, tmp_path, capsys, text,
+                                             key, command):
+        out = tmp_path / "o"
+        argv = [command, write(tmp_path, text)]
+        assert main(argv + (["--out", str(out)] if command == "run" else [])
+                    ) == EXIT_VALIDATION
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_run_names_rejected(self, tmp_path, capsys):
         text = HOVER + """\
 batch:
@@ -234,6 +255,21 @@ class TestRun:
         assert payload["scenario"] == "hover-test"
         assert len(payload["t"]) == 51
         assert payload["pend"] is None
+
+    def test_qp_that_does_not_converge_aborts(self, tmp_path, capsys):
+        # Noise seed 5021 drives fig5b into a relaxed CLF-QP that exhausts
+        # its iterations at t = 2.528 s.
+        out = tmp_path / "o"
+        rc = main(["run", "fig5b-noise-clfqp.scn", "--seed", "5021",
+                   "--out", str(out)])
+        assert rc == EXIT_ABORT
+        assert "QP did not converge" in capsys.readouterr().err
+        m = json.loads((out / "fig5b-noise-clfqp.metrics.json").read_text())
+        assert m["aborted"] is True
+        assert m["abort_time"] == pytest.approx(2.528)
+        assert "QP did not converge" in m["abort_reason"]
+        with open(out / "fig5b-noise-clfqp.csv") as fh:
+            assert len(list(csv.reader(fh))) == 1 + 1264  # header + rows
 
     def test_abort_exit_code_and_partial_log(self, tmp_path, capsys):
         text = PEND.replace("pendulum: [0.02, 0.0, 0.0, 0.0]",
@@ -475,10 +511,12 @@ def _leaf_keys():
 
 
 # Every positive number here keeps a run short: at most 0.02 s at dt 1e-4.
+# As a duration or dt, 1e300 and 5e-324 give one step or are rejected.
 # The valid names steer some draws into other controllers and references.
 ADVERSARIAL = st.sampled_from([
     float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e-4, 0.02,
-    "abc", [1.0, 2.0], None, {"x": 1.0}, "clf-qp", "pend-lqr", "circle"])
+    1.0e+300, 5.0e-324, "abc", "a\0b", [1.0, 2.0], None, {"x": 1.0},
+    "clf-qp", "pend-lqr", "circle"])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -38,6 +38,12 @@ class TestOutputClf:
         np.testing.assert_allclose(clf.P, expect, rtol=1e-10, atol=1e-10)
         assert clf.c3 == pytest.approx(1.0 / (s3 + 1.0), rel=1e-10)
 
+    def test_decay_matrix_built_once_and_read_only(self):
+        clf = setup_output_clf(2.5)
+        fresh = clf.F.T @ clf.P + clf.P @ clf.F + clf.c3 * clf.P
+        assert clf.decay.tobytes() == fresh.tobytes()
+        assert not clf.decay.flags.writeable
+
     def test_error_matrices(self):
         F, G = output_error_matrices()
         np.testing.assert_allclose(F[:4, 4:], np.eye(4))

@@ -9,8 +9,8 @@ import pytest
 
 import quadpend.controllers as ctl
 from quadpend.controllers import TrackingGains
-from quadpend.harness import (CONTROLLERS, MAX_CONSECUTIVE_FAULTS, SERIES,
-                              NoiseSpec, Scenario, ScenarioError, SimLog,
+from quadpend.harness import (CONTROLLERS, MAX_CONSECUTIVE_FAULTS, MAX_STEPS,
+                              SERIES, NoiseSpec, Scenario, ScenarioError, SimLog,
                               compute_metrics, count_overshoots, rms,
                               run_scenario, settling_time)
 from quadpend.models import (InitialState, PendulumParams,
@@ -58,6 +58,15 @@ class TestScenarioValidation:
     def test_nonfinite_duration_or_dt_or_negative_seed(self, kw):
         with pytest.raises(ScenarioError):
             hover_scenario(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        {"duration": 1e300, "dt": 1e-300}, {"duration": 1e15},
+        {"duration": (MAX_STEPS + 1) * 1e-3}])
+    def test_step_count_above_the_limit(self, kw):
+        # duration / dt overflows, or would preallocate an unbounded log.
+        with pytest.raises(ScenarioError, match="duration / dt"):
+            hover_scenario(**kw)
+        hover_scenario(duration=MAX_STEPS * 1e-3)  # built, never run
 
     @pytest.mark.parametrize("make", [
         lambda: NoiseSpec(accel_std=-0.1), lambda: NoiseSpec(dt_ref=0.0),

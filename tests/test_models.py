@@ -1,13 +1,16 @@
 """Tests for the rigid-body and pendulum dynamics primitives."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadpend.models import (InitialState, PendulumHorizontalError,
                              PendulumParams, SingularAttitudeError,
-                             VehicleParams,
+                             VehicleParams, cross3,
                              euler_rate_matrix, gravity_direction_map,
                              coupled_derivative, mixer_forward,
                              mixer_inverse, mixer_matrix,
@@ -61,6 +64,32 @@ class TestVehicleParams:
     def test_inertia_vector(self):
         np.testing.assert_allclose(P.inertia, [0.01, 0.01, 0.02])
 
+    def test_per_run_constants_equal_a_fresh_build_and_are_read_only(self):
+        p = VehicleParams(I_diag=(0.02, 0.03, 0.05), u_min=(10.0,) * 4)
+        u_min, u_max = p.rotor_bounds
+        for cached, fresh in ((p.mixer, mixer_matrix(p)),
+                              (p.inertia, np.asarray(p.I_diag)),
+                              (u_min, np.asarray(p.u_min, dtype=float)),
+                              (u_max, np.asarray(p.u_max, dtype=float))):
+            assert cached.dtype == fresh.dtype
+            assert cached.tobytes() == fresh.tobytes()
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+        assert p.mixer is p.mixer  # built once
+
+    def test_per_run_constants_rebuilt_for_a_replaced_vehicle(self):
+        p = VehicleParams()
+        built = p.mixer, p.inertia, p.rotor_bounds
+        q = dataclasses.replace(p, l=0.3, I_diag=(0.1, 0.2, 0.3),
+                                u_max=(1e4,) * 4)
+        assert q.mixer.tobytes() == mixer_matrix(q).tobytes()
+        assert q.mixer.tobytes() != built[0].tobytes()
+        assert q.inertia.tobytes() == np.asarray(q.I_diag).tobytes()
+        assert q.rotor_bounds[1].tobytes() == np.full(4, 1e4).tobytes()
+        # The cache leaves equality and hashing to the fields.
+        assert p == VehicleParams() and hash(p) == hash(VehicleParams())
+
 
 class TestMixer:
     def test_equal_commands_give_pure_thrust(self):
@@ -100,6 +129,25 @@ class TestMixer:
         w = mixer_forward([1.0, -1.0, 1.0, -1.0], P)
         np.testing.assert_allclose(w[:3], 0.0, atol=1e-15)
         assert w[3] != 0.0
+
+
+# Finite floats, with signed zeros, subnormals and values whose products
+# overflow drawn often.
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -1e-310, 1e154, -1.5e154, 1.7976931348623157e308,
+                     -1.7976931348623157e308]))
+VEC3 = st.lists(EDGE_FLOATS, min_size=3, max_size=3)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(VEC3, VEC3)
+def test_cross3_matches_np_cross_bit_for_bit(a, b):
+    a, b = np.array(a), np.array(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.cross(a, b)
+    assert cross3(a, b).tobytes() == expected.tobytes()
 
 
 class TestGravityDirectionMap:

@@ -100,6 +100,25 @@ class TestTakeoffThenCircle:
             assert np.linalg.norm(hi.pos_dot - lo.pos_dot) < 1e-6
             assert np.linalg.norm(hi.pos_ddot - lo.pos_ddot) < 1e-5
 
+    @pytest.mark.parametrize("kw", [
+        {"transition_time": 1e-320}, {"transition_time": 1e-160},
+        {"transition_time": 1e300},
+        {"transition_time": 0.0, "blend_window": 1e-320},
+        {"blend_window": 5e-324}, {"blend_window": 1e200}])
+    def test_square_that_breaks_a_division_rejected(self, kw):
+        # The climb divides by transition_time ** 2 and the blend by
+        # blend_window ** 2: an underflowing square makes those divide by
+        # zero or overflow, an overflowing one raises.
+        key = next(k for k, v in kw.items() if v)
+        with pytest.raises(ValueError, match=key):
+            TrajectorySpec(kind="takeoff-then-circle", **kw)
+
+    def test_zero_or_negative_transition_and_window_accepted(self):
+        for value in (0.0, -1.0):
+            spec = TrajectorySpec(kind="takeoff-then-circle",
+                                  transition_time=value, blend_window=value)
+            assert np.all(np.isfinite(sample_trajectory(spec, 0.5).pos_ddot))
+
     def test_raw_switch_has_velocity_jump(self):
         spec = TrajectorySpec(kind="takeoff-then-circle", transition_time=5.0,
                               blend=False)
