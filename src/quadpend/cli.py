@@ -78,7 +78,7 @@ _SECTIONS = {
         "m": "mass", "I_diag": "inertia", "D": "rotor_diameter",
         "C_T": "thrust_coeff", "C_Q": "torque_coeff", "l": "arm_length",
         "g": "gravity"}),
-    "pendulum": (PendulumParams, {"L": "half_length", "m_p": "mass"}),
+    "pendulum": (PendulumParams, {"L": "half_length"}),
     "gains": (TrackingGains, {}),
     "trajectory": (TrajectorySpec, {}),
     "initial": (InitialState, {

@@ -18,15 +18,19 @@ The quadrotor laws read the state vector x (layout in ``models``) and
 return the four rotor commands u; the pendulum laws read x[12:16].
 The three quadrotor laws each make one ``output_dynamics(x, p)`` call for
 the output, its derivative, the drift Lf_h and the decoupling matrix A(x).
+The per-step math follows the rule in ``models``: elementwise on Python
+floats, BLAS and LAPACK calls on numpy; the laws accept sequences of floats
+for every vector but x.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .models import (PendulumParams, SingularAttitudeError, VehicleParams,
-                     cross3, euler_rate_matrix, pendulum_drift_and_coupling)
+                     euler_rate_matrix, pendulum_drift_and_coupling)
 from .numerics import QpProblem, QpInfeasibleError, solve_care, solve_qp
 
 DECOUPLING_MARGIN = 1e-6
@@ -36,13 +40,13 @@ class AllocationError(ValueError):
     """Desired force vector too small to define a thrust direction."""
 
 
-@dataclass(frozen=True)
-class OutputReference:
-    """Desired output [p_Zd, phi_d, theta_d, psi_d] and its derivatives."""
+class OutputReference(NamedTuple):
+    """Desired output [p_Zd, phi_d, theta_d, psi_d] and its derivatives,
+    each a sequence of four floats."""
 
-    y_d: np.ndarray
-    y_d_dot: np.ndarray
-    y_d_ddot: np.ndarray
+    y_d: tuple
+    y_d_dot: tuple
+    y_d_ddot: tuple
 
 
 @dataclass(frozen=True)
@@ -109,38 +113,41 @@ def _euler_rate_jacobian(q, omega):
     cth = math.cos(theta)
     tth = math.tan(theta)
     sec = 1.0 / cth
-    J = np.zeros((3, 3))
-    J[0, 0] = (cphi * wy - sphi * wz) * tth
-    J[0, 1] = (sphi * wy + cphi * wz) * sec * sec
-    J[1, 0] = -sphi * wy - cphi * wz
-    J[2, 0] = (cphi * wy - sphi * wz) * sec
-    J[2, 1] = (sphi * wy + cphi * wz) * sec * tth
-    return J
+    return np.array([
+        (cphi * wy - sphi * wz) * tth, (sphi * wy + cphi * wz) * sec * sec, 0.0,
+        -sphi * wy - cphi * wz, 0.0, 0.0,
+        (cphi * wy - sphi * wz) * sec, (sphi * wy + cphi * wz) * sec * tth, 0.0,
+    ]).reshape(3, 3)
 
 
 def output_dynamics(x, p: VehicleParams):
     """Output y = [p_Z, phi, theta, psi], its derivative y_dot, and the drift
     Lf_h and decoupling A(x) of its second derivative y_ddot = Lf_h + A(x) w,
-    with w the body wrench [f_z, tau]."""
-    q, omega = x[6:9], x[9:12]
-    phi, theta = float(q[0]), float(q[1])
+    with w the body wrench [f_z, tau].  y, y_dot and Lf_h are tuples of
+    floats, A(x) a 4x4 array."""
+    x = np.asarray(x, dtype=float)
+    _, _, pz, _, _, vz, phi, theta, psi, wx, wy, wz = x[:12].tolist()
     cc = math.cos(phi) * math.cos(theta)
     if abs(cc) < DECOUPLING_MARGIN:
         raise SingularAttitudeError(
             "decoupling singularity: cos(phi)cos(theta) below margin")
-    Z = euler_rate_matrix(q)
-    I = p.inertia
-    Iw = I * omega
-    gyro = cross3(Iw, omega) / I
-    q_dot = Z @ omega
-    Lf_att = _euler_rate_jacobian(q, omega) @ q_dot + Z @ gyro
-    y = np.array([x[2], x[6], x[7], x[8]])
-    y_dot = np.concatenate([[x[5]], q_dot])
-    Lf_h = np.concatenate([[p.g], Lf_att])
-    A_x = np.zeros((4, 4))
-    A_x[0, 0] = -cc / p.m
-    A_x[1:, 1:] = Z / I  # Z @ diag(1/I)
-    return y, y_dot, Lf_h, A_x
+    Z = euler_rate_matrix((phi, theta))
+    (z00, z01, z02), (z10, z11, z12), (z20, z21, z22) = Z.tolist()
+    I0, I1, I2 = p.I_diag
+    Iw0, Iw1, Iw2 = I0 * wx, I1 * wy, I2 * wz
+    gyro = np.array([(Iw1 * wz - Iw2 * wy) / I0,
+                     (Iw2 * wx - Iw0 * wz) / I1,
+                     (Iw0 * wy - Iw1 * wx) / I2])
+    q_dot = Z @ x[9:12]
+    J = _euler_rate_jacobian((phi, theta), (wx, wy, wz))
+    Lf_att = [a + b for a, b in zip((J @ q_dot).tolist(),
+                                    (Z @ gyro).tolist())]
+    A_x = np.array([-cc / p.m, 0.0, 0.0, 0.0,
+                    0.0, z00 / I0, z01 / I1, z02 / I2,
+                    0.0, z10 / I0, z11 / I1, z12 / I2,
+                    0.0, z20 / I0, z21 / I1, z22 / I2]).reshape(4, 4)
+    return ((pz, phi, theta, psi), (vz, *q_dot.tolist()), (p.g, *Lf_att),
+            A_x)
 
 
 def _decoupling_inverse(A_x, p: VehicleParams):
@@ -151,9 +158,10 @@ def _decoupling_inverse(A_x, p: VehicleParams):
 def fbl_regulator(x, y_d, p: VehicleParams, clf: OutputClf) -> np.ndarray:
     """Set-point regulation u = (A(x)B)^-1 (-Lf_h - G'P eta)."""
     y, y_dot, Lf_h, A_x = output_dynamics(x, p)
-    eta = np.concatenate([y - np.asarray(y_d, dtype=float), y_dot])
-    v = -(clf.P @ eta)[4:]
-    return _decoupling_inverse(A_x, p) @ (-Lf_h + v)
+    eta = np.array([*(a - b for a, b in zip(y, y_d)), *y_dot])
+    v = (clf.P @ eta).tolist()[4:]
+    return _decoupling_inverse(A_x, p) @ np.array(
+        [-lf + -vi for lf, vi in zip(Lf_h, v)])
 
 
 def fbl_tracker(x, ref: OutputReference, p: VehicleParams,
@@ -161,10 +169,10 @@ def fbl_tracker(x, ref: OutputReference, p: VehicleParams,
                 alpha2=TrackingGains.alpha2) -> np.ndarray:
     """PD trajectory tracking with exact feedforward of the reference."""
     y, y_dot, Lf_h, A_x = output_dynamics(x, p)
-    w = (ref.y_d_ddot
-         - np.asarray(alpha2) * (y_dot - ref.y_d_dot)
-         - np.asarray(alpha1) * (y - ref.y_d))
-    return _decoupling_inverse(A_x, p) @ (-Lf_h + w)
+    return _decoupling_inverse(A_x, p) @ np.array([
+        -lf + (dd - alpha2 * (yd - rd) - alpha1 * (yy - r))
+        for lf, dd, yd, rd, yy, r in zip(Lf_h, ref.y_d_ddot, y_dot,
+                                         ref.y_d_dot, y, ref.y_d)])
 
 
 def attitude_from_force(f_d, m: float):
@@ -172,29 +180,27 @@ def attitude_from_force(f_d, m: float):
 
     Branch choice keeps the thrust pointing body-up (cos(theta_d) > 0 for
     f_zd < 0 in the Z-down frame); the reconstruction identity
-    g1(q_d) * m * ||f_d|| == f_d holds exactly.
+    g1(q_d) * m * ||f_d|| == f_d holds exactly.  Returns (q_d, thrust) with
+    q_d a tuple of floats.
     """
     f_d = np.asarray(f_d, dtype=float)
     norm = float(np.linalg.norm(f_d))
     if norm < 1e-6:
         raise AllocationError("degenerate force demand (norm below 1e-6)")
-    phi_d = math.asin(f_d[1] / norm)
-    theta_d = math.atan2(-f_d[0], -f_d[2])
-    return np.array([phi_d, theta_d, 0.0]), m * norm
+    f0, f1, f2 = f_d.tolist()
+    return (math.asin(f1 / norm), math.atan2(-f0, -f2), 0.0), m * norm
 
 
 def position_allocation(pos, vel, ref_pos, ref_vel, ref_acc, kp, kd,
                         g: float, m: float):
     """Desired force (PD + feedforward, gravity in the z row) and attitude.
 
-    Returns (f_d, q_d, thrust_norm) with q_d = (phi_d, theta_d, 0).
+    Returns (f_d, q_d, thrust_norm) with q_d = (phi_d, theta_d, 0); f_d and
+    q_d are tuples of floats.
     """
-    pos = np.asarray(pos, dtype=float)
-    vel = np.asarray(vel, dtype=float)
-    f_d = (np.asarray(ref_acc, dtype=float)
-           + kd * (np.asarray(ref_vel, dtype=float) - vel)
-           + kp * (np.asarray(ref_pos, dtype=float) - pos))
-    f_d[2] -= g
+    f0, f1, f2 = (acc + kd * (rv - v) + kp * (rp - x) for acc, rv, v, rp, x
+                  in zip(ref_acc, ref_vel, vel, ref_pos, pos))
+    f_d = (f0, f1, f2 - g)
     q_d, thrust = attitude_from_force(f_d, m)
     return f_d, q_d, thrust
 
@@ -224,34 +230,39 @@ def clf_qp_controller(x, ref: OutputReference, p: VehicleParams,
     """
     y, y_dot, Lf_h, A_x = output_dynamics(x, p)
     M = _decoupling_inverse(A_x, p)
-    eta = np.concatenate([y - ref.y_d, y_dot - ref.y_d_dot])
+    eta = np.array([*(a - b for a, b in zip(y, ref.y_d)),
+                    *(a - b for a, b in zip(y_dot, ref.y_d_dot))])
 
     # u = M (v + y_d_ddot - Lf_h); error dynamics eta_dot = F eta + G v.
-    clf_row = 2.0 * (eta @ clf.P @ clf.G)
     clf_rhs = -float(eta @ clf.decay @ eta)
-    shift = M @ (ref.y_d_ddot - Lf_h)
-    u_min, u_max = p.rotor_bounds
+    shift = M @ np.array([dd - lf for dd, lf in zip(ref.y_d_ddot, Lf_h)])
+    shift_f = shift.tolist()
+    bounds = [(lo - 1e-12, hi + 1e-12) for lo, hi in zip(p.u_min, p.u_max)]
 
-    A = np.vstack([clf_row, M, -M])
-    b = np.concatenate([[clf_rhs], u_max - shift, -(u_min - shift)])
+    def within_bounds(u):
+        return all(lo <= ui <= hi for ui, (lo, hi) in zip(u, bounds))
 
     # Cheap exits: v = 0 when the decrease row is slack at the origin, and
     # the analytic projection onto the decrease hyperplane otherwise.
     report = QpReport()
     v = None
-    if clf_rhs >= 0.0 and np.all(shift >= u_min - 1e-12) \
-            and np.all(shift <= u_max + 1e-12):
+    if clf_rhs >= 0.0 and within_bounds(shift_f):
         v = np.zeros(4)
     else:
+        # clf_row and cand stay arrays: each feeds a BLAS call next.
+        clf_row = 2.0 * (eta @ clf.P @ clf.G)
         nrm2 = float(clf_row @ clf_row)
         if nrm2 > 1e-14 and clf_rhs < 0.0:
             cand = clf_row * (clf_rhs / nrm2)
-            u_cand = M @ cand + shift
-            if np.all(u_cand >= u_min - 1e-12) and np.all(u_cand <= u_max + 1e-12):
+            if within_bounds([a + b for a, b in zip((M @ cand).tolist(),
+                                                     shift_f)]):
                 v = cand
                 report.active_set = (0,)
 
-    if v is None:
+    if v is None:  # the QP rows, built only for the QP
+        u_min, u_max = p.rotor_bounds
+        A = np.vstack([clf_row, M, -M])
+        b = np.concatenate([[clf_rhs], u_max - shift, -(u_min - shift)])
         try:
             res = solve_qp(QpProblem(H=2.0 * np.eye(4), f=np.zeros(4),
                                      A_ineq=A, b_ineq=b))
@@ -279,9 +290,9 @@ def clf_qp_controller(x, ref: OutputReference, p: VehicleParams,
 
 def _pendulum_nu(xp, ref_pend, ref_pend_dot, ref_pend_ddot, k1: float,
                  k2: float):
-    return (np.asarray(ref_pend_ddot, dtype=float)
-            - k1 * (xp[2:4] - np.asarray(ref_pend_dot, dtype=float))
-            - k2 * (xp[0:2] - np.asarray(ref_pend, dtype=float)))
+    a, b, a_dot, b_dot = xp
+    return [dd - k1 * (xd - rd) - k2 * (x - r) for dd, xd, rd, x, r in zip(
+        ref_pend_ddot, (a_dot, b_dot), ref_pend_dot, (a, b), ref_pend)]
 
 
 def pendulum_fbl_xi(xp, ref_pend, ref_pend_dot, ref_pend_ddot,
@@ -290,7 +301,7 @@ def pendulum_fbl_xi(xp, ref_pend, ref_pend_dot, ref_pend_ddot,
     """Minimum-norm vehicle acceleration xi = B_p^+ (-f_p + nu)."""
     nu = _pendulum_nu(xp, ref_pend, ref_pend_dot, ref_pend_ddot, k1, k2)
     f_p, B_p = pendulum_drift_and_coupling(*xp, pp.L, g)
-    rhs = -f_p + nu
+    rhs = np.array([-f + n for f, n in zip(f_p, nu)])
     # B_p has full row rank inside the valid region, so the pseudo-inverse
     # is B_p' (B_p B_p')^-1.
     return B_p.T @ np.linalg.solve(B_p @ B_p.T, rhs)
@@ -310,8 +321,9 @@ def pendulum_fbl_xi_prime(xp, pz_ddot: float, ref_pend,
     B_prime = B_p[:, :2]
     if abs(np.linalg.det(B_prime)) < 1e-9:
         raise PendulumCouplingError("planar coupling matrix near singular")
-    f_prime = f_p + B_p[:, 2] * pz_ddot
-    return np.linalg.solve(B_prime, -f_prime + nu)
+    return np.linalg.solve(B_prime, np.array([
+        -(f + row[2] * pz_ddot) + n
+        for f, row, n in zip(f_p, B_p.tolist(), nu)]))
 
 
 class PendulumCouplingError(RuntimeError):
@@ -349,6 +361,13 @@ def setup_pendulum_lqr(g: float, L: float, q_lqr, r_lqr):
 
 def pendulum_position_lqr(eta_p, eta_ref, K,
                           clamp=TrackingGains.attitude_clamp):
-    """Roll/pitch set-points (phi_d, theta_d) = -K (eta_p - ref), clamped."""
-    u = -K @ (np.asarray(eta_p, dtype=float) - np.asarray(eta_ref, dtype=float))
-    return np.clip(u, -clamp, clamp)
+    """Roll/pitch set-points (phi_d, theta_d) = -K (eta_p - ref), clamped,
+    as a tuple of floats."""
+    u = -K @ np.array([e - r for e, r in zip(eta_p, eta_ref)])
+    return tuple(_clip(ui, -clamp, clamp) for ui in u.tolist())
+
+
+def _clip(v, lo, hi):
+    """np.clip of one float, NaN and signed zeros included."""
+    v = lo if v < lo else v
+    return hi if v > hi else v

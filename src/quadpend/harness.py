@@ -6,7 +6,8 @@ differentiate the attitude set-points, run the inner altitude/attitude
 controller, clamp rotor commands, inject process noise, and RK4-step the
 coupled quadrotor-pendulum state with the wrench and noise held over the
 step.  The pendulum consumes the realized vehicle acceleration, including
-noise and clamping effects.
+noise and clamping effects.  The per-step bookkeeping follows the rule in
+``models``: elementwise on Python floats, BLAS calls on numpy.
 """
 
 import math
@@ -187,10 +188,9 @@ def _xi_outer(sc, design, x, refs):
     g = sc.vehicle.g
     xi = ctl.pendulum_fbl_xi(x[12:16], refs.pend, refs.pend_dot,
                              refs.pend_ddot, sc.pendulum, g, sc.gains.k1,
-                             sc.gains.k2)
-    f_d = xi.copy()
-    f_d[2] -= g
-    q_d, thrust = ctl.attitude_from_force(f_d, sc.vehicle.m)
+                             sc.gains.k2).tolist()
+    q_d, thrust = ctl.attitude_from_force((xi[0], xi[1], xi[2] - g),
+                                          sc.vehicle.m)
     return q_d, thrust, (x[2], x[5], xi[2])
 
 
@@ -199,18 +199,18 @@ def _xi_prime_outer(sc, design, x, refs):
     z_acc = _altitude_pd(sc, x, refs)
     xi_p = ctl.pendulum_fbl_xi_prime(x[12:16], z_acc, refs.pend,
                                      refs.pend_dot, refs.pend_ddot,
-                                     sc.pendulum, g, sc.gains.k1, sc.gains.k2)
-    f_d = np.array([xi_p[0], xi_p[1], z_acc - g])
-    q_d, thrust = ctl.attitude_from_force(f_d, sc.vehicle.m)
+                                     sc.pendulum, g, sc.gains.k1,
+                                     sc.gains.k2).tolist()
+    q_d, thrust = ctl.attitude_from_force((xi_p[0], xi_p[1], z_acc - g),
+                                          sc.vehicle.m)
     return q_d, thrust, (x[2], x[5], z_acc)
 
 
 def _lqr_outer(sc, K, x, refs):
-    eta_p = x[[12, 13, 0, 1, 14, 15, 3, 4]]
-    eta_ref = np.concatenate([refs.pend, refs.pos[:2],
-                              refs.pend_dot, refs.pos_dot[:2]])
+    eta_p = [x[i] for i in (12, 13, 0, 1, 14, 15, 3, 4)]
+    eta_ref = [*refs.pend, *refs.pos[:2], *refs.pend_dot, *refs.pos_dot[:2]]
     pt = ctl.pendulum_position_lqr(eta_p, eta_ref, K, sc.gains.attitude_clamp)
-    q_d = np.array([pt[0], pt[1], 0.0])
+    q_d = (pt[0], pt[1], 0.0)
     # Altitude runs through the outer PD, like the other pendulum
     # controllers: a raw set-point step through the stiff inner gains
     # would saturate all four rotors and forfeit attitude authority.
@@ -238,9 +238,10 @@ class Controller:
     """How one controller is built and stepped.
 
     setup(sc) returns the run's design (the OutputClf, the LQR gain, or
-    None); outer(sc, design, x, refs) returns (q_d, thrust_norm, z_ref) with
-    z_ref = (z_d, z_d_dot, z_d_ddot); inner(sc, design, x, ref) returns the
-    rotor commands u and their QpReport.
+    None); outer(sc, design, x, refs) reads x as a list of floats and
+    returns (q_d, thrust_norm, z_ref) with z_ref = (z_d, z_d_dot, z_d_ddot);
+    inner(sc, design, x, ref) reads x as an array and returns the rotor
+    commands u and their QpReport.
     """
 
     setup: object
@@ -289,6 +290,7 @@ def run_scenario(sc: Scenario) -> SimLog:
     prev = None  # the last step's (u, wrench)
     consecutive_faults = 0
     u_min, u_max = p.rotor_bounds
+    bounds = tuple(zip(u_min.tolist(), u_max.tolist()))
     noise_scale = math.sqrt(sc.noise.dt_ref / sc.dt) if sc.noise.enabled else 0.0
 
     for i in steps:
@@ -296,12 +298,11 @@ def run_scenario(sc: Scenario) -> SimLog:
         refs = sample_trajectory(sc.trajectory, t)
 
         try:
-            q_d, thrust, z_ref = controller.outer(sc, design, x, refs)
+            q_d, thrust, z_ref = controller.outer(sc, design, x.tolist(), refs)
             qd_dot, qd_ddot = diff.update(q_d)
-            ref_out = ctl.OutputReference(
-                y_d=np.concatenate([[z_ref[0]], q_d]),
-                y_d_dot=np.concatenate([[z_ref[1]], qd_dot]),
-                y_d_ddot=np.concatenate([[z_ref[2]], qd_ddot]))
+            ref_out = ctl.OutputReference(y_d=(z_ref[0], *q_d),
+                                          y_d_dot=(z_ref[1], *qd_dot),
+                                          y_d_ddot=(z_ref[2], *qd_ddot))
             u, report = controller.inner(sc, design, x, ref_out)
             consecutive_faults = 0
         except QpInfeasibleError as exc:
@@ -313,7 +314,7 @@ def run_scenario(sc: Scenario) -> SimLog:
                 u = models.mixer_inverse(wrench, p)
             else:
                 u, wrench = prev
-            q_d = np.zeros(3)
+            q_d = (0.0, 0.0, 0.0)
             thrust = float(wrench[0])
             if consecutive_faults >= MAX_CONSECUTIVE_FAULTS:
                 log.abort(t, "persistent QP infeasibility")
@@ -323,10 +324,13 @@ def run_scenario(sc: Scenario) -> SimLog:
             log.abort(t, str(exc))
             break
 
-        u_cl = np.clip(u, u_min, u_max)
-        was_clamped = bool(np.any(np.abs(u_cl - u) > 1e-12))
+        # A command more than 1e-12 outside its bounds is clamped; this is
+        # |np.clip(u) - u| > 1e-12, NaN included.
+        was_clamped = any((ui < lo and lo - ui > 1e-12)
+                          or (ui > hi and ui - hi > 1e-12)
+                          for ui, (lo, hi) in zip(u.tolist(), bounds))
         if was_clamped:
-            u = u_cl
+            u = np.clip(u, u_min, u_max)
             log.events.append((t, "clamp", "rotor command clamped"))
         if was_clamped or not report.fault:  # a fault repeats its wrench
             wrench = models.mixer_forward(u, p)
@@ -334,8 +338,7 @@ def run_scenario(sc: Scenario) -> SimLog:
             log.events.append((t, "qp_relaxed", f"slack {report.slack:.3g}"))
         prev = u, wrench
 
-        cmd_accel = models.gravity_direction_map(q_d, p.m) * thrust
-        cmd_accel[2] += p.g
+        c0, c1, c2 = models.gravity_direction_map(q_d, p.m)
 
         log.t[i] = t
         log.quad[i] = x[:12]
@@ -346,7 +349,7 @@ def run_scenario(sc: Scenario) -> SimLog:
         log.wrench[i] = wrench
         log.q_d[i] = q_d
         log.ref_pos[i] = refs.pos
-        log.cmd_accel[i] = cmd_accel
+        log.cmd_accel[i] = (c0 * thrust, c1 * thrust, c2 * thrust + p.g)
         log.clamped[i] = was_clamped
         log.qp_relaxed[i] = report.relaxed
         log.qp_fault[i] = report.fault
@@ -357,15 +360,16 @@ def run_scenario(sc: Scenario) -> SimLog:
 
         if sc.noise.enabled:
             noise_acc = rng.normal(
-                0.0, sc.noise.accel_std * noise_scale, 3)
+                0.0, sc.noise.accel_std * noise_scale, 3).tolist()
             noise_ang = rng.normal(
-                0.0, sc.noise.ang_accel_std * noise_scale, 3)
+                0.0, sc.noise.ang_accel_std * noise_scale, 3).tolist()
         else:
             noise_acc = noise_ang = None
 
+        held = wrench.tolist()
         try:
             x = rk4_step(lambda xx: models.coupled_derivative(
-                xx, wrench, p, pp, noise_acc, noise_ang), x, sc.dt, t=t)
+                xx, held, p, pp, noise_acc, noise_ang), x, sc.dt, t=t)
         except (SingularAttitudeError, PendulumHorizontalError,
                 NonFiniteDerivativeError) as exc:
             log.abort(t, str(exc))

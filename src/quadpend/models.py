@@ -24,11 +24,20 @@ offset from the vehicle CoM is (a, b, zeta) with zeta = sqrt(L^2 - a^2 - b^2):
 
 A run's initial condition is an InitialState, stated in this layout of x.
 
-Call overhead on 3-vectors, not arithmetic, sets the cost of a step.  So
-cross3(a, b) computes np.cross's operations, in its order, on Python floats,
-and each VehicleParams builds its constants once, as read-only arrays: the
+Call overhead on 3-vectors, not arithmetic, sets the cost of a step, so the
+step's math follows one rule, and keeps every output bit:
+
+* elementwise math runs on Python floats, in numpy's order of operations.
+  A float operation rounds like numpy's float64 one, so (a - b) * c on
+  floats gives the bits of the same expression on arrays;
+* every call that numpy hands to BLAS or LAPACK (@, np.linalg.norm,
+  inv, solve, det) stays a numpy call on operands of the same values.  No
+  scalar order matches a small BLAS matvec, nor np.linalg.norm, on every
+  input.
+
+Each VehicleParams builds its constants once, as read-only arrays: the
 mixer matrix (mixer), the inertia diagonal (inertia) and the rotor command
-bounds (rotor_bounds).  Both keep every output bit.
+bounds (rotor_bounds).
 """
 
 import math
@@ -71,6 +80,8 @@ class VehicleParams:
             raise ValueError("vehicle parameters must be positive")
         if any(i <= 0 for i in self.I_diag):
             raise ValueError("inertia values must be positive")
+        # mixer_matrix scales by rho * D ** 4.
+        _power_in_range(self.D, 4, "rotor_diameter")
         if self.u_min is None:
             object.__setattr__(self, "u_min", (0.0,) * 4)
         if self.u_max is None:
@@ -103,18 +114,28 @@ def _read_only(a):
     return a
 
 
+def _power_in_range(base, exponent, key):
+    """Reject a parameter whose power, as the model evaluates it, overflows."""
+    try:
+        finite = math.isfinite(base ** exponent)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{key} {base!r} is out of range: {key} ** "
+                         f"{exponent} overflows")
+
+
 @dataclass(frozen=True)
 class PendulumParams:
     """Spherical pendulum parameters; the rod has length 2L."""
 
     L: float = 0.5
-    m_p: float = 0.05  # recorded only; too light to affect the vehicle
 
     def __post_init__(self):
         if self.L <= 0:
             raise ValueError("pendulum half-length must be positive")
-        if self.m_p < 0:
-            raise ValueError("pendulum mass must be nonnegative")
+        # pendulum_drift_and_coupling cubes zeta, which is at most L.
+        _power_in_range(self.L, 3, "half_length")
 
 
 @dataclass(frozen=True)
@@ -155,26 +176,16 @@ def mixer_inverse(wrench, p: VehicleParams) -> np.ndarray:
     return np.linalg.solve(p.mixer, np.asarray(wrench, dtype=float))
 
 
-def cross3(a, b) -> np.ndarray:
-    """np.cross(a, b) of two 3-vectors, bit for bit, without its overhead."""
-    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
-    return np.array([a1 * b2 - a2 * b1,
-                     a2 * b0 - a0 * b2,
-                     a0 * b1 - a1 * b0])
-
-
-def gravity_direction_map(q, m: float) -> np.ndarray:
-    """Thrust direction map g1(q); a rotated unit axis scaled by -1/m."""
+def gravity_direction_map(q, m: float):
+    """Thrust direction map g1(q), a rotated unit axis scaled by -1/m, as a
+    tuple of floats."""
     phi, theta, psi = float(q[0]), float(q[1]), float(q[2])
     sphi, cphi = math.sin(phi), math.cos(phi)
     sth, cth = math.sin(theta), math.cos(theta)
     sps, cps = math.sin(psi), math.cos(psi)
-    return np.array([
-        -(sphi * sps + cphi * sth * cps) / m,
-        -(-sphi * cps + cphi * sth * sps) / m,
-        -(cphi * cth) / m,
-    ])
+    return (-(sphi * sps + cphi * sth * cps) / m,
+            -(-sphi * cps + cphi * sth * sps) / m,
+            -(cphi * cth) / m)
 
 
 def euler_rate_matrix(q) -> np.ndarray:
@@ -186,11 +197,9 @@ def euler_rate_matrix(q) -> np.ndarray:
     sphi, cphi = math.sin(phi), math.cos(phi)
     tth = math.tan(theta)
     sec = 1.0 / math.cos(theta)
-    return np.array([
-        [1.0, sphi * tth, cphi * tth],
-        [0.0, cphi, -sphi],
-        [0.0, sphi * sec, cphi * sec],
-    ])
+    return np.array([1.0, sphi * tth, cphi * tth,
+                     0.0, cphi, -sphi,
+                     0.0, sphi * sec, cphi * sec]).reshape(3, 3)
 
 
 def pendulum_zeta(a: float, b: float, L: float) -> float:
@@ -203,7 +212,7 @@ def pendulum_zeta(a: float, b: float, L: float) -> float:
 
 
 def pendulum_drift_and_coupling(a, b, a_dot, b_dot, L, g):
-    """Drift term f_p (2,) and coupling matrix B_p (2, 3) of the pendulum."""
+    """Drift term f_p, as two floats, and coupling matrix B_p (2, 3)."""
     zeta = pendulum_zeta(a, b, L)
     L2 = L * L
     H = (4.0 * b_dot * b_dot * (a * a - L2)
@@ -211,13 +220,10 @@ def pendulum_drift_and_coupling(a, b, a_dot, b_dot, L, g):
          + 4.0 * a_dot * a_dot * (b * b - L2)
          + 3.0 * zeta ** 3 * g)
     scale = H / (4.0 * L2 * zeta * zeta)
-    f_p = np.array([a * scale, b * scale])
     k = 3.0 / (4.0 * L2)
-    B_p = k * np.array([
-        [a * a - L2, a * b, a * zeta],
-        [a * b, b * b - L2, b * zeta],
-    ])
-    return f_p, B_p
+    B_p = np.array([k * (a * a - L2), k * (a * b), k * (a * zeta),
+                    k * (a * b), k * (b * b - L2), k * (b * zeta)])
+    return (a * scale, b * scale), B_p.reshape(2, 3)
 
 
 def coupled_derivative(x, wrench, p: VehicleParams, pp: PendulumParams = None,
@@ -227,24 +233,31 @@ def coupled_derivative(x, wrench, p: VehicleParams, pp: PendulumParams = None,
     x holds the 12 quadrotor states, followed by the 4 pendulum states when
     pp is given.  The wrench [f_z, tau] and the optional additive noise on
     v_dot and omega_dot are held constant; the pendulum is driven by the
-    realized vehicle acceleration, noise included.
+    realized vehicle acceleration, noise included.  Lists of floats are the
+    cheapest wrench and noise.
     """
-    v = x[3:6]
-    q = x[6:9]
-    omega = x[9:12]
-    v_dot = gravity_direction_map(q, p.m) * wrench[0]
-    v_dot[2] += p.g
+    x = np.asarray(x, dtype=float)
+    _, _, _, v0, v1, v2, phi, theta, psi, wx, wy, wz, *pend = x.tolist()
+    f, tx, ty, tz = wrench
+    g0, g1, g2 = gravity_direction_map((phi, theta, psi), p.m)
+    a0, a1, a2 = g0 * f, g1 * f, g2 * f + p.g
     if noise_acc is not None:
-        v_dot = v_dot + noise_acc
-    q_dot = euler_rate_matrix(q) @ omega
-    I = p.inertia
-    w_dot = (cross3(I * omega, omega) + wrench[1:4]) / I
+        n0, n1, n2 = noise_acc
+        a0, a1, a2 = a0 + n0, a1 + n1, a2 + n2
+    q_dot = (euler_rate_matrix((phi, theta)) @ x[9:12]).tolist()
+    I0, I1, I2 = p.I_diag
+    Iw0, Iw1, Iw2 = I0 * wx, I1 * wy, I2 * wz
+    d0 = (Iw1 * wz - Iw2 * wy + tx) / I0
+    d1 = (Iw2 * wx - Iw0 * wz + ty) / I1
+    d2 = (Iw0 * wy - Iw1 * wx + tz) / I2
     if noise_ang is not None:
-        w_dot = w_dot + noise_ang
-    out = np.concatenate([v, v_dot, q_dot, w_dot])
+        n0, n1, n2 = noise_ang
+        d0, d1, d2 = d0 + n0, d1 + n1, d2 + n2
     if pp is None:
-        return out
-    f_p, B_p = pendulum_drift_and_coupling(
-        x[12], x[13], x[14], x[15], pp.L, p.g)
-    pend_acc = f_p + B_p @ v_dot
-    return np.concatenate([out, x[14:16], pend_acc])
+        return np.array([v0, v1, v2, a0, a1, a2, *q_dot, d0, d1, d2])
+    a, b, a_dot, b_dot = pend
+    (f0, f1), B_p = pendulum_drift_and_coupling(a, b, a_dot, b_dot, pp.L,
+                                                p.g)
+    c0, c1 = (B_p @ np.array([a0, a1, a2])).tolist()
+    return np.array([v0, v1, v2, a0, a1, a2, *q_dot, d0, d1, d2,
+                     a_dot, b_dot, f0 + c0, f1 + c1])

@@ -4,29 +4,29 @@ All position references live in the Z-down world frame, so "2 m altitude"
 is p_Z = -2.  The takeoff-then-circle profile offers both a raw switch
 (velocity jumps at the transition, reproducing the non-smooth reference the
 tracked path smooths over) and a quintic smooth-step blend that is C^2 at
-both ends of the blend window.
+both ends of the blend window.  The per-step math follows the rule in
+``models``: it is elementwise, so it runs on Python floats.
 """
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
+from typing import NamedTuple
 
 TRAJECTORY_KINDS = ("set-point", "circle", "takeoff-then-circle",
                     "pendulum-circle")
 
 
-@dataclass(frozen=True)
-class ReferenceSample:
-    """Position and pendulum references with first and second derivatives."""
+class ReferenceSample(NamedTuple):
+    """Position and pendulum references with first and second derivatives,
+    each a tuple of floats."""
 
-    pos: np.ndarray
-    pos_dot: np.ndarray
-    pos_ddot: np.ndarray
-    pend: np.ndarray
-    pend_dot: np.ndarray
-    pend_ddot: np.ndarray
+    pos: tuple
+    pos_dot: tuple
+    pos_ddot: tuple
+    pend: tuple
+    pend_dot: tuple
+    pend_ddot: tuple
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,9 @@ def _smoothstep5(s):
 
 def _circle(R, k, alt, t):
     c, s = math.cos(k * t), math.sin(k * t)
-    pos = np.array([R * c, R * s, alt])
-    vel = np.array([-R * k * s, R * k * c, 0.0])
-    acc = np.array([-R * k * k * c, -R * k * k * s, 0.0])
+    pos = (R * c, R * s, alt)
+    vel = (-R * k * s, R * k * c, 0.0)
+    acc = (-R * k * k * c, -R * k * k * s, 0.0)
     return pos, vel, acc
 
 
@@ -82,26 +82,25 @@ def sample_trajectory(spec: TrajectorySpec, t: float) -> ReferenceSample:
     """Reference sample at time t with analytic derivatives."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    zero2 = np.zeros(2)
+    zero2 = (0.0, 0.0)
     pend = zero2
     pend_dot = zero2
     pend_ddot = zero2
 
     if spec.kind == "set-point":
-        pos = np.asarray(spec.setpoint, dtype=float)
-        vel = np.zeros(3)
-        acc = np.zeros(3)
+        pos = tuple(float(v) for v in spec.setpoint)
+        vel = acc = (0.0, 0.0, 0.0)
     elif spec.kind == "circle":
         pos, vel, acc = _circle(spec.radius, spec.rate, spec.altitude, t)
     elif spec.kind == "takeoff-then-circle":
         t1 = spec.transition_time
-        hold = np.array([spec.radius, 0.0, spec.altitude])
+        hold = (spec.radius, 0.0, spec.altitude)
         if t < t1:
             # Quintic climb from z = 0 to the target altitude above (R, 0).
             sig, dsig, ddsig = _smoothstep5(t / t1)
-            pos = np.array([spec.radius, 0.0, spec.altitude * sig])
-            vel = np.array([0.0, 0.0, spec.altitude * dsig / t1])
-            acc = np.array([0.0, 0.0, spec.altitude * ddsig / t1 ** 2])
+            pos = (spec.radius, 0.0, spec.altitude * sig)
+            vel = (0.0, 0.0, spec.altitude * dsig / t1)
+            acc = (0.0, 0.0, spec.altitude * ddsig / t1 ** 2)
         else:
             cpos, cvel, cacc = _circle(spec.radius, spec.rate, spec.altitude,
                                        t - t1)
@@ -112,19 +111,19 @@ def sample_trajectory(spec: TrajectorySpec, t: float) -> ReferenceSample:
                 sig, dsig, ddsig = _smoothstep5((t - t1) / w)
                 dsig /= w
                 ddsig /= w * w
-                d = cpos - hold
-                pos = hold + sig * d
-                vel = sig * cvel + dsig * d
-                acc = sig * cacc + 2.0 * dsig * cvel + ddsig * d
+                d = [c - h for c, h in zip(cpos, hold)]
+                pos = tuple(h + sig * di for h, di in zip(hold, d))
+                vel = tuple(sig * cv + dsig * di for cv, di in zip(cvel, d))
+                acc = tuple(sig * ca + 2.0 * dsig * cv + ddsig * di
+                            for ca, cv, di in zip(cacc, cvel, d))
     else:  # pendulum-circle
-        pos = np.array([0.0, 0.0, spec.altitude])
-        vel = np.zeros(3)
-        acc = np.zeros(3)
+        pos = (0.0, 0.0, spec.altitude)
+        vel = acc = (0.0, 0.0, 0.0)
         r, k = spec.pend_radius, spec.rate
         c, s = math.cos(k * t), math.sin(k * t)
-        pend = np.array([r * c, r * s])
-        pend_dot = np.array([-r * k * s, r * k * c])
-        pend_ddot = np.array([-r * k * k * c, -r * k * k * s])
+        pend = (r * c, r * s)
+        pend_dot = (-r * k * s, r * k * c)
+        pend_ddot = (-r * k * k * c, -r * k * k * s)
 
     return ReferenceSample(pos=pos, pos_dot=vel, pos_ddot=acc,
                            pend=pend, pend_dot=pend_dot, pend_ddot=pend_ddot)
@@ -146,15 +145,17 @@ class SetpointDifferentiator:
         self._hist = deque(maxlen=3)
 
     def update(self, value):
-        value = np.asarray(value, dtype=float)
-        self._hist.append(value.copy())
+        """Push one sample, a 1-D sequence; returns (d1, d2) as lists."""
+        self._hist.append([float(v) for v in value])
         n = len(self._hist)
+        dt = self.dt
         if n == 1:
-            return np.zeros(value.shape), np.zeros(value.shape)
+            return [0.0] * len(value), [0.0] * len(value)
         if n == 2:
             x1, x2 = self._hist
-            return (x2 - x1) / self.dt, np.zeros(value.shape)
+            return [(b - a) / dt for a, b in zip(x1, x2)], [0.0] * len(value)
         x0, x1, x2 = self._hist
-        d1 = (3.0 * x2 - 4.0 * x1 + x0) / (2.0 * self.dt)
-        d2 = (x2 - 2.0 * x1 + x0) / (self.dt * self.dt)
-        return d1, d2
+        h1 = 2.0 * dt
+        h2 = dt * dt
+        return ([(3.0 * c - 4.0 * b + a) / h1 for a, b, c in zip(x0, x1, x2)],
+                [(c - 2.0 * b + a) / h2 for a, b, c in zip(x0, x1, x2)])

@@ -186,9 +186,15 @@ class TestValidate:
                        "  transition_time: 1.0e-320"), "transition_time"),
         (HOVER.replace("kind: set-point", "kind: takeoff-then-circle\n"
                        "  transition_time: 0.0\n  blend_window: 1.0e-320"),
-         "blend_window")],
+         "blend_window"),
+        (HOVER + "vehicle:\n  rotor_diameter: 1.0e+154\n"
+         "  u_max: [1.0e+300, 1.0e+300, 1.0e+300, 1.0e+300]\n",
+         "rotor_diameter"),
+        (PEND.replace("half_length: 0.5", "half_length: 1.0e+154"),
+         "half_length")],
         ids=["steps-overflow", "nul-in-name", "transition-time-underflow",
-             "blend-window-underflow"])
+             "blend-window-underflow", "rotor-diameter-power-overflow",
+             "half-length-cube-overflow"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_value_that_broke_a_run_rejected(self, tmp_path, capsys, text,
                                              key, command):

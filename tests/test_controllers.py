@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadpend.controllers import (AllocationError, OutputClf, OutputReference,
                                   PendulumCouplingError, TrackingGains,
@@ -19,7 +21,8 @@ from quadpend.models import (InitialState, PendulumParams, VehicleParams,
                              mixer_forward, pendulum_drift_and_coupling)
 from quadpend.numerics import rk4_step
 
-from helpers import linearize, pendulum_accel
+from helpers import (linearize, oracle_output_dynamics, pendulum_accel,
+                     step_inputs)
 
 P = VehicleParams()
 PP = PendulumParams()
@@ -74,7 +77,7 @@ class TestFblTerms:
             f = coupled_derivative(x, wrench, P)
             _, yd_plus, _, _ = output_dynamics(x + h * f, P)
             _, yd_minus, _, _ = output_dynamics(x - h * f, P)
-            fd = (yd_plus - yd_minus) / (2.0 * h)
+            fd = np.subtract(yd_plus, yd_minus) / (2.0 * h)
             np.testing.assert_allclose(fd, pred, atol=1e-6)
 
     def test_decoupling_invertible_off_hover(self):
@@ -82,6 +85,16 @@ class TestFblTerms:
                          omega=(0.5, -0.2, 0.1)).as_vector()[:12]
         _, _, _, A_x = output_dynamics(x, P)
         assert abs(np.linalg.det(A_x)) > 1e-6
+
+
+@pytest.mark.parametrize("pendulum", [False, True], ids=["12", "16"])
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_output_dynamics_matches_numpy_oracle_bit_for_bit(pendulum, data):
+    x, _, p, *_ = data.draw(step_inputs(pendulum, noise=False))
+    got = output_dynamics(x, p)
+    for g, w in zip(got, oracle_output_dynamics(x, p)):
+        assert np.asarray(g, dtype=float).tobytes() == w.tobytes()
 
 
 class TestFblRegulator:
@@ -191,7 +204,7 @@ class TestAllocation:
             f_d = rng.normal(scale=5.0, size=3)
             f_d[2] = -abs(f_d[2]) - 1.0  # net upward thrust demand
             q_d, thrust = attitude_from_force(f_d, P.m)
-            rebuilt = gravity_direction_map(q_d, P.m) * thrust
+            rebuilt = np.multiply(gravity_direction_map(q_d, P.m), thrust)
             np.testing.assert_allclose(rebuilt, f_d, rtol=1e-10, atol=1e-10)
 
     def test_degenerate_demand_raises(self):
@@ -319,7 +332,7 @@ class TestPendulumFbl:
             f_p, B_p = pendulum_drift_and_coupling(*xp, PP.L, P.g)
             nu = (-8.0 * np.array(xp[2:4])
                   - 16.0 * np.array(xp[0:2]))
-            want, *_ = np.linalg.lstsq(B_p, -f_p + nu, rcond=None)
+            want, *_ = np.linalg.lstsq(B_p, -np.asarray(f_p) + nu, rcond=None)
             np.testing.assert_allclose(xi, want, rtol=1e-9, atol=1e-12)
 
     def test_xi_prime_folds_vertical_acceleration(self):

@@ -166,12 +166,26 @@ def test_series_shapes_and_dtypes(controller):
 
 
 class TestDeterminism:
-    def test_same_seed_bitwise_identical(self):
-        kw = dict(noise=NoiseSpec(enabled=True), seed=7, duration=0.5)
-        a = run_scenario(hover_scenario(**kw))
-        b = run_scenario(hover_scenario(**kw))
-        assert np.array_equal(a.quad, b.quad)
-        assert np.array_equal(a.u, b.u)
+    @staticmethod
+    def noisy(controller):
+        pend = PendulumParams() if CONTROLLERS[controller].pendulum else None
+        return hover_scenario(controller=controller, pendulum=pend,
+                              noise=NoiseSpec(enabled=True), seed=7,
+                              duration=0.5)
+
+    @pytest.mark.parametrize("controller", list(CONTROLLERS))
+    def test_same_seed_bitwise_identical(self, controller):
+        # A run of another controller in between shows any state that one
+        # run leaves behind for the next.
+        other = next(c for c in reversed(CONTROLLERS) if c != controller)
+        a = run_scenario(self.noisy(controller))
+        run_scenario(self.noisy(other))
+        b = run_scenario(self.noisy(controller))
+        assert a.t.size == b.t.size == 501
+        for name in (*SERIES, "cmd_accel"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None and y is None) or x.tobytes() == y.tobytes(), name
+        assert a.metrics == b.metrics
 
     def test_different_seeds_differ(self):
         a = run_scenario(hover_scenario(noise=NoiseSpec(enabled=True), seed=1,

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 
 from quadpend.models import (InitialState, PendulumHorizontalError,
                              PendulumParams, SingularAttitudeError,
-                             VehicleParams, cross3,
+                             VehicleParams,
                              euler_rate_matrix, gravity_direction_map,
                              coupled_derivative, mixer_forward,
                              mixer_inverse, mixer_matrix,
                              pendulum_drift_and_coupling, pendulum_zeta)
 
-from helpers import pendulum_accel
+from helpers import (cross3, oracle_coupled_derivative, pendulum_accel,
+                     step_inputs)
 
 P = VehicleParams()
 
@@ -141,6 +142,7 @@ EDGE_FLOATS = st.one_of(
 VEC3 = st.lists(EDGE_FLOATS, min_size=3, max_size=3)
 
 
+# cross3 is the bit-for-bit oracles' cross product (tests/helpers.py).
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(VEC3, VEC3)
 def test_cross3_matches_np_cross_bit_for_bit(a, b):
@@ -148,6 +150,24 @@ def test_cross3_matches_np_cross_bit_for_bit(a, b):
     with np.errstate(over="ignore", invalid="ignore"):
         expected = np.cross(a, b)
     assert cross3(a, b).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("noise", [False, True], ids=["quiet", "noise"])
+@pytest.mark.parametrize("pendulum", [False, True], ids=["12", "16"])
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_coupled_derivative_matches_numpy_oracle_bit_for_bit(pendulum, noise,
+                                                             data):
+    x, wrench, p, pp, noise_acc, noise_ang = data.draw(
+        step_inputs(pendulum, noise))
+    want = oracle_coupled_derivative(x, wrench, p, pp, noise_acc, noise_ang)
+    got = coupled_derivative(x, wrench, p, pp, noise_acc, noise_ang)
+    assert got.tobytes() == want.tobytes()
+    # The harness hands over the wrench and the noise as lists.
+    lists = [None if a is None else a.tolist()
+             for a in (wrench, noise_acc, noise_ang)]
+    got = coupled_derivative(x, lists[0], p, pp, *lists[1:])
+    assert got.tobytes() == want.tobytes()
 
 
 class TestGravityDirectionMap:

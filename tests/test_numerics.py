@@ -119,30 +119,43 @@ def enumerate_qp(H, f, A, b, tol=1e-9):
 
     Solves min 0.5 x'Hx + f'x s.t. Ax <= b by solving the equality-
     constrained problem for each subset of constraints and keeping the
-    feasible KKT point with the lowest objective.
+    feasible KKT point with the lowest objective.  The KKT systems of one
+    subset size are solved as one batch; a batch that holds a singular
+    system is solved one system at a time, skipping the singular ones.
     """
     n = H.shape[0]
     k = A.shape[0]
     best = None
     best_obj = np.inf
     for r in range(0, min(k, n) + 1):
-        for subset in itertools.combinations(range(k), r):
-            Aw = A[list(subset)]
-            KKT = np.block([[H, Aw.T], [Aw, np.zeros((r, r))]])
-            rhs = np.concatenate([-f, b[list(subset)]])
-            try:
-                sol = np.linalg.solve(KKT, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            x, lam = sol[:n], sol[n:]
-            if np.any(lam < -tol):
-                continue
-            if np.any(A @ x - b > tol):
-                continue
-            obj = 0.5 * x @ H @ x + f @ x
+        # One row per subset, in combinations order; shape (1, 0) at r = 0.
+        subsets = np.array(list(itertools.combinations(range(k), r)),
+                           dtype=int)
+        Aw = A[subsets]
+        KKT = np.zeros((len(subsets), n + r, n + r))
+        KKT[:, :n, :n] = H
+        KKT[:, :n, n:] = Aw.transpose(0, 2, 1)
+        KKT[:, n:, :n] = Aw
+        rhs = np.concatenate([np.broadcast_to(-f, (len(subsets), n)),
+                              b[subsets]], axis=1)
+        try:
+            sols = np.linalg.solve(KKT, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            sols = np.full(rhs.shape, np.nan)
+            for i in range(len(subsets)):
+                try:
+                    sols[i] = np.linalg.solve(KKT[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    pass
+        x, lam = sols[:, :n], sols[:, n:]
+        solved = ~np.isnan(sols).any(axis=1)
+        dual_ok = ~(lam < -tol).any(axis=1)
+        primal_ok = ~(x @ A.T - b > tol).any(axis=1)
+        for i in np.flatnonzero(solved & dual_ok & primal_ok):
+            obj = 0.5 * x[i] @ H @ x[i] + f @ x[i]
             if obj < best_obj - 1e-12:
                 best_obj = obj
-                best = x
+                best = x[i]
     return best
 
 
