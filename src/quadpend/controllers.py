@@ -20,7 +20,7 @@ The three quadrotor laws each make one ``output_dynamics(x, p)`` call for
 the output, its derivative, the drift Lf_h and the decoupling matrix A(x).
 The per-step math follows the rule in ``models``: elementwise on Python
 floats, BLAS and LAPACK calls on numpy; the laws accept sequences of floats
-for every vector but x.
+for every vector.
 """
 
 import math
@@ -125,8 +125,7 @@ def output_dynamics(x, p: VehicleParams):
     Lf_h and decoupling A(x) of its second derivative y_ddot = Lf_h + A(x) w,
     with w the body wrench [f_z, tau].  y, y_dot and Lf_h are tuples of
     floats, A(x) a 4x4 array."""
-    x = np.asarray(x, dtype=float)
-    _, _, pz, _, _, vz, phi, theta, psi, wx, wy, wz = x[:12].tolist()
+    _, _, pz, _, _, vz, phi, theta, psi, wx, wy, wz = x[:12]
     cc = math.cos(phi) * math.cos(theta)
     if abs(cc) < DECOUPLING_MARGIN:
         raise SingularAttitudeError(
@@ -138,7 +137,7 @@ def output_dynamics(x, p: VehicleParams):
     gyro = np.array([(Iw1 * wz - Iw2 * wy) / I0,
                      (Iw2 * wx - Iw0 * wz) / I1,
                      (Iw0 * wy - Iw1 * wx) / I2])
-    q_dot = Z @ x[9:12]
+    q_dot = Z @ np.array([wx, wy, wz])
     J = _euler_rate_jacobian((phi, theta), (wx, wy, wz))
     Lf_att = [a + b for a, b in zip((J @ q_dot).tolist(),
                                     (Z @ gyro).tolist())]

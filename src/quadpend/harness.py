@@ -240,8 +240,8 @@ class Controller:
     setup(sc) returns the run's design (the OutputClf, the LQR gain, or
     None); outer(sc, design, x, refs) reads x as a list of floats and
     returns (q_d, thrust_norm, z_ref) with z_ref = (z_d, z_d_dot, z_d_ddot);
-    inner(sc, design, x, ref) reads x as an array and returns the rotor
-    commands u and their QpReport.
+    inner(sc, design, x, ref) reads x as a list of floats too and returns
+    the rotor commands u and their QpReport.
     """
 
     setup: object
@@ -267,7 +267,7 @@ def run_scenario(sc: Scenario) -> SimLog:
     n_steps = int(round(sc.duration / sc.dt))
     steps = range(n_steps + 1)
 
-    x = sc.initial.as_vector()
+    x = sc.initial.as_vector().tolist()
     if not sc.has_pendulum:
         x = x[:12]
 
@@ -287,7 +287,8 @@ def run_scenario(sc: Scenario) -> SimLog:
     log.cmd_accel = np.empty((len(steps), 3))
     rows = 0  # rows written
     rng = np.random.default_rng(sc.seed)
-    prev = None  # the last step's (u, wrench)
+    hover = np.array([p.m * p.g, 0.0, 0.0, 0.0])
+    prev = models.mixer_inverse(hover, p), hover  # the last step's (u, wrench)
     consecutive_faults = 0
     u_min, u_max = p.rotor_bounds
     bounds = tuple(zip(u_min.tolist(), u_max.tolist()))
@@ -298,7 +299,7 @@ def run_scenario(sc: Scenario) -> SimLog:
         refs = sample_trajectory(sc.trajectory, t)
 
         try:
-            q_d, thrust, z_ref = controller.outer(sc, design, x.tolist(), refs)
+            q_d, thrust, z_ref = controller.outer(sc, design, x, refs)
             qd_dot, qd_ddot = diff.update(q_d)
             ref_out = ctl.OutputReference(y_d=(z_ref[0], *q_d),
                                           y_d_dot=(z_ref[1], *qd_dot),
@@ -309,11 +310,7 @@ def run_scenario(sc: Scenario) -> SimLog:
             consecutive_faults += 1
             report = ctl.QpReport(fault=True)
             log.events.append((t, "qp_fault", str(exc)))
-            if prev is None:
-                wrench = np.array([p.m * p.g, 0.0, 0.0, 0.0])
-                u = models.mixer_inverse(wrench, p)
-            else:
-                u, wrench = prev
+            u, wrench = prev
             q_d = (0.0, 0.0, 0.0)
             thrust = float(wrench[0])
             if consecutive_faults >= MAX_CONSECUTIVE_FAULTS:

@@ -35,9 +35,11 @@ step's math follows one rule, and keeps every output bit:
   scalar order matches a small BLAS matvec, nor np.linalg.norm, on every
   input.
 
+The state x and the RK4 stages are lists of floats, so numpy arrays appear
+only as the operands of those calls.
+
 Each VehicleParams builds its constants once, as read-only arrays: the
-mixer matrix (mixer), the inertia diagonal (inertia) and the rotor command
-bounds (rotor_bounds).
+mixer matrix (mixer) and the rotor command bounds (rotor_bounds).
 """
 
 import math
@@ -93,10 +95,6 @@ class VehicleParams:
 
     # Cached per instance; a frozen dataclass compares and hashes by its
     # fields only, so the cache changes neither.
-    @cached_property
-    def inertia(self):
-        return _read_only(np.asarray(self.I_diag, dtype=float))
-
     @cached_property
     def mixer(self):
         """mixer_matrix(self), built once."""
@@ -227,24 +225,24 @@ def pendulum_drift_and_coupling(a, b, a_dot, b_dot, L, g):
 
 
 def coupled_derivative(x, wrench, p: VehicleParams, pp: PendulumParams = None,
-                       noise_acc=None, noise_ang=None) -> np.ndarray:
+                       noise_acc=None, noise_ang=None) -> list:
     """Time derivative of the quadrotor state, and of the pendulum's if pp.
 
     x holds the 12 quadrotor states, followed by the 4 pendulum states when
     pp is given.  The wrench [f_z, tau] and the optional additive noise on
     v_dot and omega_dot are held constant; the pendulum is driven by the
-    realized vehicle acceleration, noise included.  Lists of floats are the
-    cheapest wrench and noise.
+    realized vehicle acceleration, noise included.  x, the wrench and the
+    noise are sequences of floats; returns a list of floats.
     """
-    x = np.asarray(x, dtype=float)
-    _, _, _, v0, v1, v2, phi, theta, psi, wx, wy, wz, *pend = x.tolist()
+    _, _, _, v0, v1, v2, phi, theta, psi, wx, wy, wz, *pend = x
     f, tx, ty, tz = wrench
     g0, g1, g2 = gravity_direction_map((phi, theta, psi), p.m)
     a0, a1, a2 = g0 * f, g1 * f, g2 * f + p.g
     if noise_acc is not None:
         n0, n1, n2 = noise_acc
         a0, a1, a2 = a0 + n0, a1 + n1, a2 + n2
-    q_dot = (euler_rate_matrix((phi, theta)) @ x[9:12]).tolist()
+    q_dot = (euler_rate_matrix((phi, theta))
+             @ np.array([wx, wy, wz])).tolist()
     I0, I1, I2 = p.I_diag
     Iw0, Iw1, Iw2 = I0 * wx, I1 * wy, I2 * wz
     d0 = (Iw1 * wz - Iw2 * wy + tx) / I0
@@ -254,10 +252,10 @@ def coupled_derivative(x, wrench, p: VehicleParams, pp: PendulumParams = None,
         n0, n1, n2 = noise_ang
         d0, d1, d2 = d0 + n0, d1 + n1, d2 + n2
     if pp is None:
-        return np.array([v0, v1, v2, a0, a1, a2, *q_dot, d0, d1, d2])
+        return [v0, v1, v2, a0, a1, a2, *q_dot, d0, d1, d2]
     a, b, a_dot, b_dot = pend
     (f0, f1), B_p = pendulum_drift_and_coupling(a, b, a_dot, b_dot, pp.L,
                                                 p.g)
     c0, c1 = (B_p @ np.array([a0, a1, a2])).tolist()
-    return np.array([v0, v1, v2, a0, a1, a2, *q_dot, d0, d1, d2,
-                     a_dot, b_dot, f0 + c0, f1 + c1])
+    return [v0, v1, v2, a0, a1, a2, *q_dot, d0, d1, d2,
+            a_dot, b_dot, f0 + c0, f1 + c1]

@@ -37,14 +37,16 @@ class QpInfeasibleError(RuntimeError):
 
 
 def rk4_step(deriv, x, dt, t=None):
-    """One classical fourth-order Runge-Kutta step of x' = deriv(x)."""
-    x = np.asarray(x, dtype=float)
-    k1 = np.asarray(deriv(x))
-    k2 = np.asarray(deriv(x + 0.5 * dt * k1))
-    k3 = np.asarray(deriv(x + 0.5 * dt * k2))
-    k4 = np.asarray(deriv(x + dt * k3))
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    """One classical fourth-order Runge-Kutta step of x' = deriv(x), with x
+    a sequence of floats; the stages and the result are lists of floats."""
+    h, c = 0.5 * dt, dt / 6.0
+    k1 = deriv(x)
+    k2 = deriv([a + h * k for a, k in zip(x, k1)])
+    k3 = deriv([a + h * k for a, k in zip(x, k2)])
+    k4 = deriv([a + dt * k for a, k in zip(x, k3)])
+    out = [a + c * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+           for a, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
         when = "" if t is None else f" at t = {t:.6g} s"
         raise NonFiniteDerivativeError(f"non-finite derivative{when}")
     return out

@@ -20,8 +20,8 @@ def pendulum_accel(xp, p_ddot, pp, g):
     """
     x = np.concatenate([np.zeros(12), xp])
     noise_acc = np.asarray(p_ddot, dtype=float) - np.array([0.0, 0.0, g])
-    return coupled_derivative(x, np.zeros(4), VehicleParams(g=g), pp,
-                              noise_acc)[14:16]
+    return np.asarray(coupled_derivative(x, np.zeros(4), VehicleParams(g=g),
+                                         pp, noise_acc)[14:16])
 
 
 def linearize(f, x0, u0, eps=1e-5):
@@ -54,9 +54,9 @@ def linearize(f, x0, u0, eps=1e-5):
     return A, B
 
 
-# Bit-for-bit oracles: coupled_derivative and output_dynamics as numpy
-# elementwise expressions, the form the float versions in src/ must match
-# byte for byte, with the helpers they call.
+# Bit-for-bit oracles: coupled_derivative, output_dynamics and rk4_step as
+# numpy elementwise expressions, the form the float versions in src/ must
+# match byte for byte, with the helpers they call.
 
 def cross3(a, b):
     """np.cross(a, b) of two 3-vectors, bit for bit, without its overhead."""
@@ -121,7 +121,7 @@ def oracle_coupled_derivative(x, wrench, p, pp=None, noise_acc=None,
     if noise_acc is not None:
         v_dot = v_dot + noise_acc
     q_dot = _euler_rate_matrix(q) @ omega
-    I = p.inertia
+    I = np.asarray(p.I_diag, dtype=float)
     w_dot = (cross3(I * omega, omega) + wrench[1:4]) / I
     if noise_ang is not None:
         w_dot = w_dot + noise_ang
@@ -158,7 +158,7 @@ def oracle_output_dynamics(x, p):
         raise SingularAttitudeError(
             "decoupling singularity: cos(phi)cos(theta) below margin")
     Z = _euler_rate_matrix(q)
-    I = p.inertia
+    I = np.asarray(p.I_diag, dtype=float)
     Iw = I * omega
     gyro = cross3(Iw, omega) / I
     q_dot = Z @ omega
@@ -170,6 +170,20 @@ def oracle_output_dynamics(x, p):
     A_x[0, 0] = -cc / p.m
     A_x[1:, 1:] = Z / I  # Z @ diag(1/I)
     return y, y_dot, Lf_h, A_x
+
+
+def oracle_rk4_step(deriv, x, dt, t=None):
+    """One classical fourth-order Runge-Kutta step of x' = deriv(x)."""
+    x = np.asarray(x, dtype=float)
+    k1 = np.asarray(deriv(x))
+    k2 = np.asarray(deriv(x + 0.5 * dt * k1))
+    k3 = np.asarray(deriv(x + 0.5 * dt * k2))
+    k4 = np.asarray(deriv(x + dt * k3))
+    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(out)):
+        when = "" if t is None else f" at t = {t:.6g} s"
+        raise NonFiniteDerivativeError(f"non-finite derivative{when}")
+    return out
 
 
 def _floats(lo, hi, n):

@@ -59,7 +59,8 @@ class TestFblTerms:
         _, _, Lf_h, A_x = output_dynamics(hover_state(), P)
         np.testing.assert_allclose(Lf_h, [P.g, 0.0, 0.0, 0.0], atol=1e-15)
         np.testing.assert_allclose(A_x[0], [-1.0 / P.m, 0, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(A_x[1:, 1:], np.diag(1.0 / P.inertia),
+        np.testing.assert_allclose(A_x[1:, 1:],
+                                   np.diag(1.0 / np.asarray(P.I_diag)),
                                    atol=1e-15)
 
     def test_second_derivative_oracle(self):
@@ -74,7 +75,7 @@ class TestFblTerms:
             wrench = mixer_forward(u, P)
             _, _, Lf_h, A_x = output_dynamics(x, P)
             pred = Lf_h + A_x @ wrench
-            f = coupled_derivative(x, wrench, P)
+            f = np.asarray(coupled_derivative(x, wrench, P))
             _, yd_plus, _, _ = output_dynamics(x + h * f, P)
             _, yd_minus, _, _ = output_dynamics(x - h * f, P)
             fd = np.subtract(yd_plus, yd_minus) / (2.0 * h)

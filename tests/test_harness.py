@@ -254,7 +254,7 @@ class TestIntegrationOrder:
             return x
 
         ref = integrate(1.25e-4)
-        errs = [np.linalg.norm(integrate(dt) - ref)
+        errs = [np.linalg.norm(np.subtract(integrate(dt), ref))
                 for dt in (4e-3, 2e-3, 1e-3)]
         assert errs[0] / errs[1] > 8.0
         assert errs[1] / errs[2] > 8.0
@@ -270,10 +270,10 @@ class TestEnergyConservation:
         wrench = np.zeros(4)
 
         def energy(x):
-            v, w = x[3:6], x[9:12]
+            v, w = np.asarray(x[3:6]), np.asarray(x[9:12])
             # Z-down: height above datum is -p_Z.
             return (0.5 * P.m * v @ v - P.m * P.g * x[2]
-                    + 0.5 * w @ (P.inertia * w))
+                    + 0.5 * w @ (np.asarray(P.I_diag) * w))
 
         e0 = energy(x)
         dt = 1e-3

@@ -62,14 +62,10 @@ class TestVehicleParams:
         with pytest.raises(ValueError):
             VehicleParams(u_min=(1.0,) * 4, u_max=(0.0,) * 4)
 
-    def test_inertia_vector(self):
-        np.testing.assert_allclose(P.inertia, [0.01, 0.01, 0.02])
-
     def test_per_run_constants_equal_a_fresh_build_and_are_read_only(self):
         p = VehicleParams(I_diag=(0.02, 0.03, 0.05), u_min=(10.0,) * 4)
         u_min, u_max = p.rotor_bounds
         for cached, fresh in ((p.mixer, mixer_matrix(p)),
-                              (p.inertia, np.asarray(p.I_diag)),
                               (u_min, np.asarray(p.u_min, dtype=float)),
                               (u_max, np.asarray(p.u_max, dtype=float))):
             assert cached.dtype == fresh.dtype
@@ -81,12 +77,11 @@ class TestVehicleParams:
 
     def test_per_run_constants_rebuilt_for_a_replaced_vehicle(self):
         p = VehicleParams()
-        built = p.mixer, p.inertia, p.rotor_bounds
+        built = p.mixer, p.rotor_bounds
         q = dataclasses.replace(p, l=0.3, I_diag=(0.1, 0.2, 0.3),
                                 u_max=(1e4,) * 4)
         assert q.mixer.tobytes() == mixer_matrix(q).tobytes()
         assert q.mixer.tobytes() != built[0].tobytes()
-        assert q.inertia.tobytes() == np.asarray(q.I_diag).tobytes()
         assert q.rotor_bounds[1].tobytes() == np.full(4, 1e4).tobytes()
         # The cache leaves equality and hashing to the fields.
         assert p == VehicleParams() and hash(p) == hash(VehicleParams())
@@ -162,12 +157,13 @@ def test_coupled_derivative_matches_numpy_oracle_bit_for_bit(pendulum, noise,
         step_inputs(pendulum, noise))
     want = oracle_coupled_derivative(x, wrench, p, pp, noise_acc, noise_ang)
     got = coupled_derivative(x, wrench, p, pp, noise_acc, noise_ang)
-    assert got.tobytes() == want.tobytes()
-    # The harness hands over the wrench and the noise as lists.
+    assert np.asarray(got).tobytes() == want.tobytes()
+    # The harness hands over the state, the wrench and the noise as lists.
     lists = [None if a is None else a.tolist()
-             for a in (wrench, noise_acc, noise_ang)]
-    got = coupled_derivative(x, lists[0], p, pp, *lists[1:])
-    assert got.tobytes() == want.tobytes()
+             for a in (x, wrench, noise_acc, noise_ang)]
+    got = coupled_derivative(lists[0], lists[1], p, pp, *lists[2:])
+    assert all(type(v) is float for v in got)
+    assert np.asarray(got).tobytes() == want.tobytes()
 
 
 class TestGravityDirectionMap:
@@ -228,7 +224,8 @@ class TestQuadDerivative:
         w = np.array([1.0, 2.0, 3.0])
         x = InitialState(omega=tuple(w)).as_vector()[:12]
         dx = coupled_derivative(x, np.zeros(4), P)
-        expected = np.cross(P.inertia * w, w) / P.inertia
+        inertia = np.asarray(P.I_diag, dtype=float)
+        expected = np.cross(inertia * w, w) / inertia
         np.testing.assert_allclose(dx[9:12], expected, rtol=1e-12)
 
     def test_velocity_passthrough_and_euler_rates(self):

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadpend.models import coupled_derivative
 from quadpend.numerics import (CareError, NonFiniteDerivativeError,
                                QpInfeasibleError, QpProblem, QpResult,
                                care_residual, rk4_step, solve_care, solve_qp)
 
-from helpers import linearize
+from helpers import linearize, oracle_rk4_step, step_inputs
 
 
 class TestSteppers:
@@ -59,6 +62,39 @@ class TestSteppers:
         with pytest.raises(NonFiniteDerivativeError, match="t = 2.5"):
             rk4_step(lambda x: np.array([np.nan]), np.array([1.0]), 0.1,
                      t=2.5)
+
+
+def _assert_same_step(deriv, x, dt):
+    """rk4_step on the list x gives the bytes of the numpy oracle on x."""
+    got = rk4_step(deriv, x.tolist(), dt)
+    assert np.asarray(got).tobytes() == oracle_rk4_step(deriv, x, dt).tobytes()
+
+
+@pytest.mark.parametrize("noise", [False, True], ids=["quiet", "noise"])
+@pytest.mark.parametrize("pendulum", [False, True], ids=["12", "16"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), dt=st.floats(1e-4, 1e-2))
+def test_rk4_step_matches_numpy_oracle_bit_for_bit(pendulum, noise, data, dt):
+    x, wrench, p, pp, noise_acc, noise_ang = data.draw(
+        step_inputs(pendulum, noise))
+    held, n_acc, n_ang = [None if a is None else a.tolist()
+                          for a in (wrench, noise_acc, noise_ang)]
+    _assert_same_step(lambda xx: coupled_derivative(
+        xx, held, p, pp, n_acc, n_ang), x, dt)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(x=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=16),
+       dt=st.floats(1e-4, 1.0))
+def test_rk4_step_matches_numpy_oracle_for_an_array_derivative(x, dt):
+    x = np.array(x)
+    c = np.linspace(-2.0, 2.0, x.size)
+
+    def deriv(xx):
+        xx = np.asarray(xx)
+        return c * xx * xx - xx[::-1] + 0.3
+
+    _assert_same_step(deriv, x, dt)
 
 
 class TestCare:
