@@ -39,28 +39,23 @@ class ValidationError(Exception):
     pass
 
 
-def _key_line(text: str, dotted: str) -> int:
-    """Line of a top-level key, or of a section's key inside that section."""
-    section, _, key = dotted.rpartition(".")
-    block = ""  # the top-level key whose block holds the line
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0]
-        if line[:1].strip():  # not indented
-            block = line.split(":", 1)[0]
-            if not section and block == key:
-                return lineno
-        elif (section and block == section
-              and line.strip().startswith(f"{key}:")):
-            return lineno
-    return 0
+def _key_lines(raw_text):
+    """Dotted key -> line, for each key of the document and of its sections,
+    read off the YAML node tree; a repeated key keeps its first line."""
+    lines = {}
+    for key, value in yaml.compose(raw_text, Loader=yaml.SafeLoader).value:
+        lines.setdefault(key.value, key.start_mark.line + 1)
+        if isinstance(value, yaml.MappingNode):
+            for sub, _ in value.value:
+                lines.setdefault(f"{key.value}.{sub.value}",
+                                 sub.start_mark.line + 1)
+    return lines
 
 
 def _check_keys(doc, schema, raw_text, path=""):
-    if not isinstance(doc, dict):
-        return
     for key, value in doc.items():
         if key not in schema:
-            line = _key_line(raw_text, f"{path}{key}")
+            line = _key_lines(raw_text).get(f"{path}{key}")
             where = f" (line {line})" if line else ""
             raise ValidationError(f"unknown key '{path}{key}'{where}")
         sub = schema[key]
@@ -132,11 +127,13 @@ def _typed_fields(like, doc, keys, path=""):
             for k, v in doc.items()}
 
 
-def build_scenario(doc: dict, default_name: str) -> Scenario:
-    """Construct a Scenario from a document whose keys are validated."""
-    schema = scenario_schema()
+def build_scenario(doc: dict, default_name: str, schema: dict,
+                   suffix: str) -> Scenario:
+    """Construct a Scenario from a document whose keys were checked against
+    schema; suffix ends the run's name."""
     scalars = {k: doc[k] for k in _SCALARS if k in doc}
     kw = {"name": default_name, **_typed_fields(Scenario(), scalars, schema)}
+    kw["name"] += suffix
     try:
         for section, (cls, _) in _SECTIONS.items():
             sdoc = doc.get(section)
@@ -167,13 +164,13 @@ def load_scenarios(path: Path, overrides=(), seed=None):
     try:
         raw = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"cannot read {path.name}: {exc}") from exc
+        raise ValidationError(f"cannot read: {exc}") from exc
     try:
         doc = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
-        raise ValidationError(f"cannot parse {path.name}: {exc}") from exc
+        raise ValidationError(f"cannot parse: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ValidationError(f"{path.name}: document must be a mapping")
+        raise ValidationError("document must be a mapping")
 
     batch = doc.pop("batch", None)
     schema = scenario_schema()
@@ -209,16 +206,17 @@ def load_scenarios(path: Path, overrides=(), seed=None):
                 "batch can be set only at the top level of the file, not by "
                 "--set or in a batch entry")
         _check_keys(vdoc, schema, raw)
-        sc = build_scenario(vdoc, default_name=path.stem)
-        if suffix:
-            sc = Scenario(**{**sc.__dict__, "name": sc.name + suffix})
+        sc = build_scenario(vdoc, path.stem, schema, suffix)
         # The name becomes a file name under --out.
         if any(part in sc.name for part in ("/", "\\", "..")):
             raise ValidationError(
                 f"name {sc.name!r} must not contain '/', '\\' or '..'")
-        if any(unicodedata.category(ch) == "Cc" for ch in sc.name):
-            raise ValidationError(
-                f"name {sc.name!r} must not contain control characters")
+        if any(unicodedata.category(ch) in ("Cc", "Cs") for ch in sc.name):
+            raise ValidationError(f"name {sc.name!r} must not contain control "
+                                  "or surrogate characters")
+        # 255 bytes is the longest file name Linux file systems take.
+        if len(f"{sc.name}.metrics.json".encode()) > 255:
+            raise ValidationError(f"name {sc.name!r} is too long for a file")
         if any(sc.name == other.name for other in scenarios):
             raise ValidationError(f"two runs are named {sc.name!r}")
         scenarios.append(sc)

@@ -77,6 +77,8 @@ class Scenario:
             raise ScenarioError(
                 f"duration / dt is {self.duration / self.dt:.3g} steps, above "
                 f"the limit of {MAX_STEPS}")
+        # SetpointDifferentiator divides by dt * dt.
+        models.check_power_in_range(self.dt, 2, "dt")
         if self.seed < 0:
             raise ScenarioError("seed must be nonnegative")
         if CONTROLLERS[self.controller].pendulum and self.pendulum is None:

@@ -82,8 +82,14 @@ class VehicleParams:
             raise ValueError("vehicle parameters must be positive")
         if any(i <= 0 for i in self.I_diag):
             raise ValueError("inertia values must be positive")
-        # mixer_matrix scales by rho * D ** 4.
-        _power_in_range(self.D, 4, "rotor_diameter")
+        # The laws invert the mixer, rho * D ** 4 times C_T, C_T * l and C_Q.
+        check_power_in_range(self.D, 4, "rotor_diameter")
+        scale = self.rho * self.D ** 4
+        if not all(0 < abs(scale * c) < math.inf
+                   for c in (self.C_T, self.C_T * self.l, self.C_Q)):
+            raise ValueError("rho * rotor_diameter ** 4 times thrust_coeff, "
+                             "torque_coeff or arm_length * thrust_coeff is 0 "
+                             "or overflows: the rotor mixer is singular")
         if self.u_min is None:
             object.__setattr__(self, "u_min", (0.0,) * 4)
         if self.u_max is None:
@@ -112,15 +118,16 @@ def _read_only(a):
     return a
 
 
-def _power_in_range(base, exponent, key):
-    """Reject a parameter whose power, as the model evaluates it, overflows."""
+def check_power_in_range(base, exponent, key):
+    """Reject a parameter whose power, as the model evaluates it, overflows,
+    or whose reciprocal power does: raises ValueError naming key."""
     try:
-        finite = math.isfinite(base ** exponent)
+        power = base ** exponent
     except OverflowError:
-        finite = False
-    if not finite:
+        power = math.inf
+    if not (0 < power < math.inf and 1.0 / power < math.inf):
         raise ValueError(f"{key} {base!r} is out of range: {key} ** "
-                         f"{exponent} overflows")
+                         f"{exponent} overflows or underflows")
 
 
 @dataclass(frozen=True)
@@ -132,8 +139,9 @@ class PendulumParams:
     def __post_init__(self):
         if self.L <= 0:
             raise ValueError("pendulum half-length must be positive")
-        # pendulum_drift_and_coupling cubes zeta, which is at most L.
-        _power_in_range(self.L, 3, "half_length")
+        # pendulum_drift_and_coupling cubes zeta, which is at most L, and
+        # divides by L ** 2 * zeta ** 2.
+        check_power_in_range(self.L, 4, "half_length")
 
 
 @dataclass(frozen=True)

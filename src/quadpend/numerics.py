@@ -25,7 +25,8 @@ class CareError(RuntimeError):
 
 
 class QpNotConvergedError(RuntimeError):
-    """The active-set QP did not converge within QP_MAX_ITER iterations."""
+    """The active-set QP holds NaN or infinity, or did not converge within
+    QP_MAX_ITER iterations."""
 
 
 class QpInfeasibleError(RuntimeError):
@@ -41,15 +42,20 @@ def rk4_step(deriv, x, dt, t=None):
     a sequence of floats; the stages and the result are lists of floats."""
     h, c = 0.5 * dt, dt / 6.0
     k1 = deriv(x)
-    k2 = deriv([a + h * k for a, k in zip(x, k1)])
-    k3 = deriv([a + h * k for a, k in zip(x, k2)])
-    k4 = deriv([a + dt * k for a, k in zip(x, k3)])
-    out = [a + c * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-           for a, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)]
-    if not all(map(math.isfinite, out)):
+    k2 = deriv(_finite([a + h * k for a, k in zip(x, k1)], t))
+    k3 = deriv(_finite([a + h * k for a, k in zip(x, k2)], t))
+    k4 = deriv(_finite([a + dt * k for a, k in zip(x, k3)], t))
+    return _finite([a + c * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+                    for a, d1, d2, d3, d4 in zip(x, k1, k2, k3, k4)], t)
+
+
+def _finite(x, t):
+    """x, unless it holds NaN or infinity.  Each stage is checked too, since
+    math.sin raises on an infinite angle."""
+    if not all(map(math.isfinite, x)):
         when = "" if t is None else f" at t = {t:.6g} s"
         raise NonFiniteDerivativeError(f"non-finite derivative{when}")
-    return out
+    return x
 
 
 def care_residual(F, G, Q, R, P) -> float:
@@ -93,9 +99,11 @@ def solve_care(F, G, Q, R=None) -> np.ndarray:
 
     # Kleinman-Newton refinement: each pass solves a Lyapunov equation for
     # the current gain and is quadratically convergent near the solution.
+    # The passes stall at a round-off floor, so the best one is kept.
     qnorm = np.linalg.norm(Q, "fro")
+    best = care_residual(F, G, Q, R, P), P
     for _ in range(10):
-        if care_residual(F, G, Q, R, P) < 1e-10 * max(qnorm, 1.0):
+        if best[0] < 1e-10 * max(qnorm, 1.0):
             break
         K = np.linalg.solve(R, G.T @ P)
         Acl = F - G @ K
@@ -107,8 +115,10 @@ def solve_care(F, G, Q, R=None) -> np.ndarray:
         if not np.all(np.isfinite(P_next)):
             break
         P = P_next
+        best = min(best, (care_residual(F, G, Q, R, P), P), key=lambda b: b[0])
 
-    if not care_residual(F, G, Q, R, P) < 1e-8 * max(qnorm, 1.0):  # NaN fails
+    residual, P = best
+    if not residual < 1e-8 * max(qnorm, 1.0):  # NaN fails
         raise CareError("CARE residual contract not met")
     if np.min(np.linalg.eigvalsh(P)) <= 0:
         raise CareError("CARE solution is not positive definite")
@@ -188,6 +198,8 @@ def solve_qp(prob: QpProblem) -> QpResult:
     n = H.shape[0]
     k = A.shape[0]
     tol = 1e-10
+    if not all(np.isfinite(a).all() for a in (H, f, A, b)):
+        raise QpNotConvergedError("QP data holds NaN or infinity")
 
     x = _feasible_start(A, b, n, tol)
 

@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .models import check_power_in_range
+
 TRAJECTORY_KINDS = ("set-point", "circle", "takeoff-then-circle",
                     "pendulum-circle")
 
@@ -50,12 +52,8 @@ class TrajectorySpec:
             raise ValueError("rate must be finite")
         # sample_trajectory divides by the square of each when it is positive.
         for key in ("transition_time", "blend_window"):
-            value = getattr(self, key)
-            square = value * value
-            if value > 0 and not (0 < square < math.inf
-                                  and 1.0 / square < math.inf):
-                raise ValueError(f"{key} {value!r} is out of range: its "
-                                 "square underflows or overflows")
+            if getattr(self, key) > 0:
+                check_power_in_range(getattr(self, key), 2, key)
 
 
 def _smoothstep5(s):

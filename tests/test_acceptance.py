@@ -234,6 +234,16 @@ def test_criterion_04_noise_comparison():
                   f"{np.mean([p[1] for p in pairs]):.4f} m")
 
 
+@pytest.mark.xfail(raises=AssertionError, reason=(
+    "ROADMAP item 4: fig5b diverges under some noise "
+    "seeds; at seed 3 the pitch reaches -pi/2 at t = 3.442 s"))
+def test_fig5b_noise_seed_3_finishes():
+    sc, = load_scenarios(shipped_scenario_path("fig5b-noise-clfqp.scn"),
+                         seed=3)
+    log = run_scenario(sc)
+    assert not log.aborted, log.abort_reason
+
+
 def test_criterion_05_pendulum_balance(balance_logs):
     xi, xi_prime = balance_logs
     details = {}

@@ -1,11 +1,16 @@
 """Tests for the scenario-file front end: validation, runs, and output files."""
 
 import concurrent.futures
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,7 +23,7 @@ from quadpend.cli import (EXIT_ABORT, EXIT_OK, EXIT_VALIDATION, EXIT_WRITE,
                           load_scenarios, main, scenario_schema,
                           shipped_scenario_path, shipped_scenarios)
 from quadpend.controllers import TrackingGains
-from quadpend.harness import CONTROLLERS, SERIES, NoiseSpec
+from quadpend.harness import CONTROLLERS, SERIES, NoiseSpec, Scenario
 from quadpend.trajectories import TRAJECTORY_KINDS
 
 HOVER = """\
@@ -99,6 +104,39 @@ class TestValidate:
         assert rc == EXIT_VALIDATION
         assert f"'initial.kind' (line {len(text.splitlines())})" in err
 
+    @pytest.mark.parametrize("section", [
+        "vehicle: {mass: 1.0, bogus: 2}\n", 'vehicle:\n  "bogus": 2\n'],
+        ids=["flow-style", "quoted"])
+    def test_unknown_key_line_in_any_yaml_style(self, tmp_path, capsys,
+                                                section):
+        text = HOVER + section
+        rc = main(["validate", write(tmp_path, text)])
+        assert rc == EXIT_VALIDATION
+        line = next(i for i, ln in enumerate(text.splitlines(), start=1)
+                    if "bogus" in ln)
+        assert f"'vehicle.bogus' (line {line})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, sets, message", [
+        (HOVER + "vehicle: 3\n", [], "key 'vehicle' must be a mapping"),
+        (HOVER + "vehicle: [1, 2\n", [], "cannot parse"),
+        ("- 1\n- 2\n", [], "document must be a mapping"),
+        (HOVER, ["--set", "gains.kp"], "--set expects key=value"),
+        (HOVER + "vehicle:\n  inertia: [0.0, 0.01, 0.02]\n", [],
+         "inertia values must be positive"),
+        (PEND.replace("half_length: 0.5", "half_length: 0.0"), [],
+         "pendulum half-length must be positive")],
+        ids=["section-not-a-mapping", "unclosed-list", "document-a-list",
+             "set-without-value", "zero-inertia", "zero-half-length"])
+    def test_malformed_input_rejected(self, tmp_path, capsys, text, sets,
+                                      message):
+        rc = main(["validate", write(tmp_path, text), *sets])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert message in err
+        assert err.startswith("error: case.scn: ")
+        assert err.count("case.scn") == 1
+        assert "Traceback" not in err
+
     def test_bad_value_rejected(self, tmp_path, capsys):
         rc = main(["validate", write(tmp_path, HOVER.replace(
             "kind: set-point", "kind: zigzag"))])
@@ -112,7 +150,7 @@ class TestValidate:
         (tmp_path / "binary.scn").write_bytes(b"\xff\xfe\x00")
         for name in ("dir.scn", "binary.scn"):
             assert main(["validate", str(tmp_path / name)]) == EXIT_VALIDATION
-            assert f"cannot read {name}" in capsys.readouterr().err
+            assert f"{name}: cannot read" in capsys.readouterr().err
 
     def test_null_initial_pendulum_rejected_like_position(self, tmp_path,
                                                           capsys):
@@ -191,10 +229,19 @@ class TestValidate:
          "  u_max: [1.0e+300, 1.0e+300, 1.0e+300, 1.0e+300]\n",
          "rotor_diameter"),
         (PEND.replace("half_length: 0.5", "half_length: 1.0e+154"),
-         "half_length")],
+         "half_length"),
+        (PEND.replace("half_length: 0.5", "half_length: 1.0e-107"),
+         "half_length"),
+        (HOVER + "vehicle:\n  torque_coeff: 0.0\n", "rotor mixer"),
+        (HOVER.replace("dt: 0.001", "dt: 1.0e-170").replace(
+            "duration: 0.05", "duration: 1.0e-168"), "dt"),
+        (HOVER.replace("name: hover-test", 'name: "a\\ud800b"'), "name"),
+        (HOVER.replace("name: hover-test", "name: " + "x" * 250), "name")],
         ids=["steps-overflow", "nul-in-name", "transition-time-underflow",
              "blend-window-underflow", "rotor-diameter-power-overflow",
-             "half-length-cube-overflow"])
+             "half-length-cube-overflow", "half-length-power-underflow",
+             "zero-torque-coeff", "dt-square-underflow", "surrogate-in-name",
+             "name-too-long-for-a-file"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_value_that_broke_a_run_rejected(self, tmp_path, capsys, text,
                                              key, command):
@@ -294,8 +341,11 @@ class TestRun:
     @pytest.mark.parametrize("text, setting, fmt", [
         (HOVER, "initial.attitude=[0, 1.5707963267948966, 0]", "csv"),
         (PEND, "initial.pendulum=[0.6, 0, 0, 0]", "csv"),
-        (PEND, "initial.pendulum=[0.6, 0, 0, 0]", "json")],
-        ids=["pitch-pi/2", "pendulum-beyond-L", "pendulum-beyond-L-json"])
+        (PEND, "initial.pendulum=[0.6, 0, 0, 0]", "json"),
+        (HOVER.replace("fbl-regulator", "clf-qp"),
+         "initial.position=[0, 0, -1.0e+200]", "csv")],
+        ids=["pitch-pi/2", "pendulum-beyond-L", "pendulum-beyond-L-json",
+             "clf-qp-data-overflows"])
     def test_abort_before_first_row(self, tmp_path, capsys, text, setting,
                                     fmt):
         rc = main(["run", write(tmp_path, text), "--out", str(tmp_path / "o"),
@@ -539,6 +589,93 @@ def test_adversarial_values_end_in_an_exit_code(sets):
         path.write_text(yaml.safe_dump(doc))
         rc = main(["run", str(path), "--out", str(Path(tmp) / "o")])
     assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_ABORT)
+
+
+# Floats of either sign from every decade of the float range, zero and
+# overflow to infinity included; at the magnitudes where a square, cube or
+# fourth power, the powers the model takes, leaves the float range; or NaN.
+SIGNED = st.floats(-10.0, 10.0)
+FLOATS = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, SIGNED, st.integers(-323, 308)),
+    st.builds(lambda m, end, k: m * end ** (1.0 / k), SIGNED,
+              st.sampled_from([sys.float_info.max, 5e-324]),
+              st.integers(2, 4)),
+    st.just(math.nan))
+
+
+def _typed(like):
+    """Values of the type of the default value like; strings are valid names
+    or any text a YAML file can hold."""
+    if isinstance(like, bool):
+        return st.booleans()
+    if isinstance(like, int):
+        return st.integers()
+    if isinstance(like, str):
+        return st.sampled_from([*CONTROLLERS, *TRAJECTORY_KINDS]) | st.text(
+            st.characters(exclude_categories=()))  # surrogates included
+    if isinstance(like, float):
+        return FLOATS
+    return st.lists(FLOATS, min_size=len(like), max_size=len(like)) | FLOATS
+
+
+def _typed_sections():
+    """Section ("" for the top level) -> {key: _typed strategy}, for every
+    key but batch; the top-level key dt draws dt and a duration of 1 to 1000
+    steps of it."""
+    defaults = Scenario()
+    classes = {f.name: f.type for f in fields(Scenario)}
+    out = {"": {"dt": st.tuples(FLOATS, st.integers(1, 1000))}}
+    for key, sub in scenario_schema().items():
+        if isinstance(sub, dict):
+            like = classes[key]()
+            out[key] = {k: _typed(getattr(like, name))
+                        for k, name in sub.items()}
+        elif key not in ("duration", "dt", "batch"):
+            out[""][key] = _typed(getattr(defaults, sub))
+    return out
+
+
+TYPED = _typed_sections()
+PEND_DOC = yaml.safe_load(PEND.replace("duration: 0.05", "duration: 0.002"))
+
+
+@st.composite
+def typed_scenarios(draw):
+    """PEND, two steps long, with one key drawn by type from a section drawn
+    first, so that a section of one key is drawn as often as one of ten."""
+    doc = copy.deepcopy(PEND_DOC)
+    section = draw(st.sampled_from(sorted(TYPED)))
+    key = draw(st.sampled_from(sorted(TYPED[section])))
+    value = draw(TYPED[section][key])
+    if (section, key) == ("", "dt"):
+        doc["dt"], steps = value
+        doc["duration"] = doc["dt"] * steps
+    elif section:
+        doc.setdefault(section, {})[key] = value
+    else:
+        doc[key] = value
+    return doc
+
+
+def _main_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+@settings(max_examples=700, deadline=None, derandomize=True, database=None)
+@given(typed_scenarios())
+def test_what_validate_accepts_runs_and_what_it_rejects_run_rejects(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.scn"
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        validated = _main_stderr(["validate", str(path)])
+        ran = _main_stderr(["run", str(path), "--out", str(Path(tmp) / "o")])
+    assert validated[0] in (EXIT_OK, EXIT_VALIDATION)
+    if validated[0] == EXIT_OK:
+        assert ran[0] in (EXIT_OK, EXIT_ABORT)
+    else:
+        assert ran == validated
 
 
 def test_readme_csv_columns_match_series(tmp_path):

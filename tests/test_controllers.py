@@ -193,6 +193,32 @@ class TestFblTracker:
         assert worst < 1e-3
 
 
+def _vectors(lo, hi, n):
+    return st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fbl_tracker_realizes_the_commanded_output_acceleration(data):
+    # Measured without Lf_h and A(x): central differences of y_dot along
+    # the flow under the wrench mixer_forward(u).
+    x, _, p, *_ = data.draw(step_inputs(pendulum=False, noise=False))
+    ref = OutputReference(*(data.draw(_vectors(-5.0, 5.0, 4))
+                            for _ in range(3)))
+    alpha1, alpha2 = data.draw(_vectors(0.1, 200.0, 2))
+    u = fbl_tracker(x, ref, p, alpha1, alpha2)
+    y, y_dot, _, _ = output_dynamics(x, p)
+    commanded = [dd - alpha2 * (yd - rd) - alpha1 * (yy - r)
+                 for dd, yd, rd, yy, r in zip(ref.y_d_ddot, y_dot,
+                                              ref.y_d_dot, y, ref.y_d)]
+    f = np.asarray(coupled_derivative(x, mixer_forward(u, p), p))
+    h = 1e-6
+    ahead = output_dynamics(x + h * f, p)[1]
+    behind = output_dynamics(x - h * f, p)[1]
+    measured = np.subtract(ahead, behind) / (2.0 * h)
+    np.testing.assert_allclose(measured, commanded, rtol=1e-6, atol=1e-5)
+
+
 class TestAllocation:
     def test_straight_down_force(self):
         q_d, thrust = attitude_from_force(np.array([0.0, 0.0, -9.81]), 1.0)
@@ -388,6 +414,14 @@ class TestPendulumLqr:
         K = setup_pendulum_lqr(P.g, PP.L, g.q_lqr, g.r_lqr)
         eigs = np.linalg.eigvals(A - B @ K)
         assert np.max(eigs.real) < -1e-3
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(q=_vectors(1e-3, 1e3, 8), r=_vectors(1e-3, 1e3, 2))
+    def test_closed_loop_hurwitz_for_any_positive_weights(self, q, r):
+        A, B = pendulum_linear_system(P.g, PP.L)
+        K = setup_pendulum_lqr(P.g, PP.L, q, r)
+        assert np.max(np.linalg.eigvals(A - B @ K).real) < 0.0
 
     def test_setpoint_clamped(self):
         K = setup_pendulum_lqr(P.g, PP.L, (10,) * 8, (0.01, 0.01))

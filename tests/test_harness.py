@@ -76,6 +76,11 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             make()
 
+    def test_dt_whose_square_underflows(self):
+        # SetpointDifferentiator divides by dt * dt.
+        with pytest.raises(ValueError, match="dt"):
+            hover_scenario(dt=1e-170, duration=1e-168)
+
     def test_scenario_is_a_value(self):
         assert Scenario() == Scenario()
         assert hash(Scenario()) == hash(Scenario())
@@ -363,6 +368,16 @@ class TestQpFaultFallback:
         assert np.array_equal(log.wrench[3:], np.tile(log.wrench[2], (50, 1)))
 
 
+@pytest.mark.xfail(raises=AssertionError, reason=(
+    "ROADMAP item 16: fbl-regulator drops the outer "
+    "loop's feedforward, and the cascade is unstable"))
+def test_regulator_returns_from_a_1_cm_offset():
+    log = run_scenario(hover_scenario(
+        initial=InitialState(p=(0.01, 0.0, -2.0)), duration=10.0))
+    assert not log.aborted
+    assert np.linalg.norm(log.quad[-1, :3] - (0.0, 0.0, -2.0)) < 1e-3
+
+
 class TestMetrics:
     def test_rms(self):
         assert rms(np.full(10, 3.0)) == pytest.approx(3.0)
@@ -379,6 +394,10 @@ class TestMetrics:
 
     def test_settling_time_never(self):
         assert settling_time(np.ones(100), 0.1) is None
+
+    def test_settling_time_of_an_empty_series_rejected(self):
+        with pytest.raises(ValueError, match="empty series"):
+            settling_time([], 1e-3)
 
     def test_settling_time_band_scales_initial_error(self):
         err = np.array([-2.0, 1.0, 0.5, 0.1, 0.1])

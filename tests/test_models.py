@@ -58,6 +58,15 @@ class TestVehicleParams:
         with pytest.raises(ValueError):
             VehicleParams(m=0.0)
 
+    @pytest.mark.parametrize("kw", [
+        {"C_Q": 0.0}, {"rho": 1e-320}, {"C_T": 1e-200, "l": 1e-200},
+        {"rho": 1e300, "D": 1e5}, {"D": 1e-80}],
+        ids=["no-yaw", "scale-underflows", "arm-underflows",
+             "scale-overflows", "d4-underflows"])
+    def test_rejects_a_mixer_that_cannot_be_inverted(self, kw):
+        with pytest.raises(ValueError, match="rotor"):
+            VehicleParams(**kw)
+
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             VehicleParams(u_min=(1.0,) * 4, u_max=(0.0,) * 4)
@@ -302,6 +311,24 @@ class TestPendulum:
     def test_horizontal_raises(self):
         with pytest.raises(PendulumHorizontalError):
             pendulum_accel([0.5, 0.0, 0.0, 0.0], np.zeros(3), self.PP, P.g)
+
+    @pytest.mark.xfail(raises=AssertionError, reason=(
+        "ROADMAP item 12: the vertical coupling has "
+        "the wrong sign, so free fall drives the pendulum"))
+    def test_free_fall_leaves_a_pendulum_at_rest_unforced(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            r = rng.uniform(0.0, 0.9 * self.PP.L)
+            ang = rng.uniform(0.0, 2.0 * math.pi)
+            xp = [r * math.cos(ang), r * math.sin(ang), 0.0, 0.0]
+            acc = pendulum_accel(xp, [0.0, 0.0, P.g], self.PP, P.g)
+            np.testing.assert_allclose(acc, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("L", [1e-78, 1e78])
+    def test_half_length_whose_fourth_power_leaves_the_float_range(self, L):
+        # The model divides by L ** 2 * zeta ** 2, with zeta at most L.
+        with pytest.raises(ValueError, match="half_length"):
+            PendulumParams(L=L)
 
 
 class TestInitialState:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from quadpend.models import coupled_derivative
 from quadpend.numerics import (CareError, NonFiniteDerivativeError,
-                               QpInfeasibleError, QpProblem, QpResult,
+                               QpInfeasibleError, QpNotConvergedError,
+                               QpProblem, QpResult,
                                care_residual, rk4_step, solve_care, solve_qp)
 
 from helpers import linearize, oracle_rk4_step, step_inputs
@@ -57,6 +58,12 @@ class TestSteppers:
     def test_nonfinite_derivative_raises(self):
         with pytest.raises(NonFiniteDerivativeError):
             rk4_step(lambda x: np.array([np.inf]), np.array([1.0]), 0.1)
+
+    def test_infinite_stage_ends_the_step_before_it_is_evaluated(self):
+        # math.sin raises on an infinite angle; the stage x + dt/2 * k1
+        # overflows here.
+        with pytest.raises(NonFiniteDerivativeError, match="t = 1"):
+            rk4_step(lambda x: [math.sin(x[0]) + 1e308], [0.0], 10.0, t=1.0)
 
     def test_nonfinite_error_labels_time(self):
         with pytest.raises(NonFiniteDerivativeError, match="t = 2.5"):
@@ -142,6 +149,20 @@ class TestCare:
         G = np.array([[0.0], [1.0]])
         with pytest.raises(CareError):
             solve_care(F, G, np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("F, G, Q, R, message", [
+        ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 1.0], [0.0, 1.0]],
+         None, "symmetric"),
+        ([[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], np.eye(2), [[-1.0]],
+         "R must be positive definite"),
+        ([[math.nan, 1.0], [0.0, 0.0]], [[0.0], [1.0]], np.eye(2), None,
+         "Schur decomposition failed"),
+        ([[0.0]], [[0.0]], [[0.0]], None, "found 0")],
+        ids=["asymmetric-q", "negative-r", "nan-in-f", "no-stable-eigenvalue"])
+    def test_rejects_malformed_problem(self, F, G, Q, R, message):
+        with pytest.raises(CareError, match=message):
+            solve_care(np.array(F), np.array(G), np.array(Q),
+                       None if R is None else np.array(R))
 
     def test_rejects_nonstabilizable_pair(self):
         F = np.array([[1.0]])
@@ -264,6 +285,15 @@ class TestQp:
         with pytest.raises(ValueError):
             QpProblem(H=np.eye(2), f=np.zeros(3),
                       A_ineq=np.zeros((1, 2)), b_ineq=np.zeros(1))
+        with pytest.raises(ValueError, match="H must be square"):
+            QpProblem(H=np.ones((2, 3)), f=np.zeros(2))
+
+    @pytest.mark.parametrize("b0", [-math.inf, math.nan])
+    def test_non_finite_data_raises(self, b0):
+        prob = QpProblem(H=np.eye(2), f=np.zeros(2), A_ineq=np.eye(2),
+                         b_ineq=np.array([b0, 1.0]))
+        with pytest.raises(QpNotConvergedError, match="NaN or infinity"):
+            solve_qp(prob)
 
 
 class TestLinearize:

@@ -167,6 +167,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             TrajectorySpec(kind="circle", radius=-1.0)
 
+    def test_nonfinite_rate(self):
+        # The CLI rejects a non-finite value first: only a direct call
+        # reaches this check.
+        with pytest.raises(ValueError, match="rate must be finite"):
+            TrajectorySpec(kind="circle", rate=math.inf)
+
     def test_negative_time(self):
         with pytest.raises(ValueError):
             sample_trajectory(TrajectorySpec(), -0.1)
