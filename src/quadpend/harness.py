@@ -263,21 +263,95 @@ CONTROLLERS = {
 }
 
 
+class StepAbort(Exception):
+    """StepAbort(t, reason, row): the run stops at time t, and row is the
+    period's log row when it stands, else None."""
+
+
+def closed_loop_step(sc, design, x, diff, prev, t, rng, events, faults, last):
+    """One control period of sc from the state x (a list of floats) at t.
+
+    design is the controller's setup(sc), diff the run's
+    SetpointDifferentiator, and prev the last (u, wrench), which a QP fault
+    holds and faults periods in a row have held.  Events go to the list
+    events.  Returns the period's log row (SERIES order, cmd_accel last, the
+    pendulum series only with a pendulum) and the state at t + dt, or None
+    when last.  Raises StepAbort at t with no row when a law fails; at t
+    after the row when the QP faults MAX_CONSECUTIVE_FAULTS periods in a row
+    or the RK4 step fails; at t + dt after the row when the pitch or the
+    pendulum leaves its range.
+    """
+    p, pp, law = sc.vehicle, sc.pendulum, CONTROLLERS[sc.controller]
+    refs = sample_trajectory(sc.trajectory, t)
+    try:
+        q_d, thrust, z_ref = law.outer(sc, design, x, refs)
+        qd_dot, qd_ddot = diff.update(q_d)
+        ref_out = ctl.OutputReference(y_d=(z_ref[0], *q_d),
+                                      y_d_dot=(z_ref[1], *qd_dot),
+                                      y_d_ddot=(z_ref[2], *qd_ddot))
+        u, report = law.inner(sc, design, x, ref_out)
+    except QpInfeasibleError as exc:
+        report = ctl.QpReport(fault=True)
+        events.append((t, "qp_fault", str(exc)))
+        u, wrench = prev
+        q_d = (0.0, 0.0, 0.0)
+        thrust = float(wrench[0])
+    except (SingularAttitudeError, PendulumHorizontalError,
+            ctl.PendulumCouplingError, ctl.AllocationError,
+            QpNotConvergedError, np.linalg.LinAlgError) as exc:
+        raise StepAbort(t, str(exc), None) from exc
+
+    # A command more than 1e-12 outside its bounds is clamped; this is
+    # |np.clip(u) - u| > 1e-12, NaN included.
+    u_min, u_max = p.rotor_bounds
+    was_clamped = any((ui < lo and lo - ui > 1e-12)
+                      or (ui > hi and ui - hi > 1e-12) for ui, lo, hi
+                      in zip(u.tolist(), u_min.tolist(), u_max.tolist()))
+    if was_clamped:
+        u = np.clip(u, u_min, u_max)
+        events.append((t, "clamp", "rotor command clamped"))
+    if was_clamped or not report.fault:  # a fault repeats its wrench
+        wrench = models.mixer_forward(u, p)
+    if report.relaxed:
+        events.append((t, "qp_relaxed", f"slack {report.slack:.3g}"))
+    c0, c1, c2 = models.gravity_direction_map(q_d, p.m)
+    row = (t, x[:12], *([x[12:16]] if pp else ()), u, wrench, q_d, refs.pos,
+           *([refs.pend] if pp else ()), was_clamped, report.relaxed,
+           report.fault, (c0 * thrust, c1 * thrust, c2 * thrust + p.g))
+
+    if report.fault and faults + 1 >= MAX_CONSECUTIVE_FAULTS:
+        raise StepAbort(t, "persistent QP infeasibility", row)
+    if last:
+        return row, None
+    noise = (None, None)  # on v_dot and on omega_dot
+    if sc.noise.enabled:
+        scale = math.sqrt(sc.noise.dt_ref / sc.dt)
+        noise = [rng.normal(0.0, std * scale, 3).tolist()
+                 for std in (sc.noise.accel_std, sc.noise.ang_accel_std)]
+    held = wrench.tolist()
+    try:
+        x = rk4_step(lambda xx: models.coupled_derivative(
+            xx, held, p, pp, *noise), x, sc.dt, t=t)
+    except (SingularAttitudeError, PendulumHorizontalError,
+            NonFiniteDerivativeError) as exc:
+        raise StepAbort(t, str(exc), row) from exc
+    if abs(x[7]) >= math.pi / 2:
+        raise StepAbort(t + sc.dt, "pitch reached +-pi/2", row)
+    if pp and x[12] ** 2 + x[13] ** 2 > (PENDULUM_MARGIN * pp.L) ** 2:
+        raise StepAbort(t + sc.dt, "pendulum approached horizontal", row)
+    return row, x
+
+
 def run_scenario(sc: Scenario) -> SimLog:
-    """Run one scenario to completion (or abort) and return the full log."""
-    p, pp = sc.vehicle, sc.pendulum
+    """Run one scenario to completion (or abort) and return the full log,
+    one closed_loop_step per period."""
     n_steps = int(round(sc.duration / sc.dt))
     steps = range(n_steps + 1)
-
-    x = sc.initial.as_vector().tolist()
-    if not sc.has_pendulum:
-        x = x[:12]
-
+    x = sc.initial.as_vector().tolist()[:16 if sc.has_pendulum else 12]
     log = SimLog(scenario_name=sc.name, dt=sc.dt)
-    controller = CONTROLLERS[sc.controller]
     diff = SetpointDifferentiator(sc.dt)
     try:
-        design = controller.setup(sc)
+        design = CONTROLLERS[sc.controller].setup(sc)
     except CareError as exc:
         log.abort(0.0, f"controller synthesis failed: {exc}")
         steps = ()  # abort before the first row
@@ -287,106 +361,31 @@ def run_scenario(sc: Scenario) -> SimLog:
             shape = (len(steps),) if width == 1 else (len(steps), width)
             setattr(log, name, np.empty(shape, series.dtype))
     log.cmd_accel = np.empty((len(steps), 3))
-    rows = 0  # rows written
+    names = [n for n in (*SERIES, "cmd_accel") if getattr(log, n) is not None]
+    columns = [getattr(log, name) for name in names]
+    hover = np.array([sc.vehicle.m * sc.vehicle.g, 0.0, 0.0, 0.0])
+    prev = models.mixer_inverse(hover, sc.vehicle), hover
     rng = np.random.default_rng(sc.seed)
-    hover = np.array([p.m * p.g, 0.0, 0.0, 0.0])
-    prev = models.mixer_inverse(hover, p), hover  # the last step's (u, wrench)
-    consecutive_faults = 0
-    u_min, u_max = p.rotor_bounds
-    bounds = tuple(zip(u_min.tolist(), u_max.tolist()))
-    noise_scale = math.sqrt(sc.noise.dt_ref / sc.dt) if sc.noise.enabled else 0.0
+    faults = rows = 0
 
     for i in steps:
-        t = i * sc.dt
-        refs = sample_trajectory(sc.trajectory, t)
-
         try:
-            q_d, thrust, z_ref = controller.outer(sc, design, x, refs)
-            qd_dot, qd_ddot = diff.update(q_d)
-            ref_out = ctl.OutputReference(y_d=(z_ref[0], *q_d),
-                                          y_d_dot=(z_ref[1], *qd_dot),
-                                          y_d_ddot=(z_ref[2], *qd_ddot))
-            u, report = controller.inner(sc, design, x, ref_out)
-            consecutive_faults = 0
-        except QpInfeasibleError as exc:
-            consecutive_faults += 1
-            report = ctl.QpReport(fault=True)
-            log.events.append((t, "qp_fault", str(exc)))
-            u, wrench = prev
-            q_d = (0.0, 0.0, 0.0)
-            thrust = float(wrench[0])
-            if consecutive_faults >= MAX_CONSECUTIVE_FAULTS:
-                log.abort(t, "persistent QP infeasibility")
-        except (SingularAttitudeError, PendulumHorizontalError,
-                ctl.PendulumCouplingError, ctl.AllocationError,
-                QpNotConvergedError, np.linalg.LinAlgError) as exc:
-            log.abort(t, str(exc))
-            break
-
-        # A command more than 1e-12 outside its bounds is clamped; this is
-        # |np.clip(u) - u| > 1e-12, NaN included.
-        was_clamped = any((ui < lo and lo - ui > 1e-12)
-                          or (ui > hi and ui - hi > 1e-12)
-                          for ui, (lo, hi) in zip(u.tolist(), bounds))
-        if was_clamped:
-            u = np.clip(u, u_min, u_max)
-            log.events.append((t, "clamp", "rotor command clamped"))
-        if was_clamped or not report.fault:  # a fault repeats its wrench
-            wrench = models.mixer_forward(u, p)
-        if report.relaxed:
-            log.events.append((t, "qp_relaxed", f"slack {report.slack:.3g}"))
-        prev = u, wrench
-
-        c0, c1, c2 = models.gravity_direction_map(q_d, p.m)
-
-        log.t[i] = t
-        log.quad[i] = x[:12]
-        if sc.has_pendulum:
-            log.pend[i] = x[12:16]
-            log.ref_pend[i] = refs.pend
-        log.u[i] = u
-        log.wrench[i] = wrench
-        log.q_d[i] = q_d
-        log.ref_pos[i] = refs.pos
-        log.cmd_accel[i] = (c0 * thrust, c1 * thrust, c2 * thrust + p.g)
-        log.clamped[i] = was_clamped
-        log.qp_relaxed[i] = report.relaxed
-        log.qp_fault[i] = report.fault
-        rows = i + 1
-
+            row, x = closed_loop_step(sc, design, x, diff, prev, i * sc.dt,
+                                      rng, log.events, faults, i == n_steps)
+        except StepAbort as stop:
+            t_stop, reason, row = stop.args
+            log.abort(t_stop, reason)
+        if row is not None:
+            for column, value in zip(columns, row):
+                column[i] = value
+            rows = i + 1
         if log.aborted or i == n_steps:
             break
+        prev = log.u[i], log.wrench[i]
+        faults = faults + 1 if row[-2] else 0
 
-        if sc.noise.enabled:
-            noise_acc = rng.normal(
-                0.0, sc.noise.accel_std * noise_scale, 3).tolist()
-            noise_ang = rng.normal(
-                0.0, sc.noise.ang_accel_std * noise_scale, 3).tolist()
-        else:
-            noise_acc = noise_ang = None
-
-        held = wrench.tolist()
-        try:
-            x = rk4_step(lambda xx: models.coupled_derivative(
-                xx, held, p, pp, noise_acc, noise_ang), x, sc.dt, t=t)
-        except (SingularAttitudeError, PendulumHorizontalError,
-                NonFiniteDerivativeError) as exc:
-            log.abort(t, str(exc))
-            break
-
-        if abs(x[7]) >= math.pi / 2:
-            log.abort(t + sc.dt, "pitch reached +-pi/2")
-            break
-        if sc.has_pendulum:
-            r2 = x[12] ** 2 + x[13] ** 2
-            if r2 > (PENDULUM_MARGIN * pp.L) ** 2:
-                log.abort(t + sc.dt, "pendulum approached horizontal")
-                break
-
-    for name in (*SERIES, "cmd_accel"):
-        a = getattr(log, name)
-        if a is not None:
-            setattr(log, name, a[:rows])
+    for name in names:
+        setattr(log, name, getattr(log, name)[:rows])
     log.metrics = compute_metrics(log)
     return log
 
