@@ -1,13 +1,19 @@
 """Closed-loop simulation engine.
 
-One fixed-step loop per scenario: sample references, run the outer loop
-(position allocation, pendulum controller, or LQR), numerically
-differentiate the attitude set-points, run the inner altitude/attitude
-controller, clamp rotor commands, inject process noise, and RK4-step the
-coupled quadrotor-pendulum state with the wrench and noise held over the
-step.  The pendulum consumes the realized vehicle acceleration, including
-noise and clamping effects.  The per-step bookkeeping follows the rule in
-``models``: elementwise on Python floats, BLAS calls on numpy.
+One fixed-step loop per scenario, whose period is one closed_loop_step:
+sample references, run the outer loop (position allocation, pendulum
+controller, or LQR), numerically differentiate the attitude set-points, run
+the inner altitude/attitude controller, clamp rotor commands, inject process
+noise, and RK4-step the coupled quadrotor-pendulum state with the wrench and
+noise held over the step.  The pendulum consumes the realized vehicle
+acceleration, including noise and clamping effects.  The per-step
+bookkeeping follows the rule in ``models``: elementwise on Python floats,
+BLAS calls on numpy.
+
+A step that ends the run raises StepAbort, and run_scenario records it:
+a failing outer or inner law at t, without the period's row; a QP that
+stays infeasible, or a failing RK4 step, at t after the row; a pitch or
+pendulum out of range at t + dt after the row.
 """
 
 import math

@@ -95,6 +95,11 @@ class VehicleParams:
         if self.u_max is None:
             # Total thrust authority of 4x hover by default.
             cap = self.m * self.g / (self.rho * self.D ** 4 * self.C_T)
+            if not cap < math.inf:
+                raise ValueError(
+                    f"thrust_coeff {self.C_T!r} is out of range: the default "
+                    "u_max, mass * gravity / (rho * rotor_diameter ** 4 * "
+                    "thrust_coeff), overflows")
             object.__setattr__(self, "u_max", (cap,) * 4)
         if not all(lo < hi for lo, hi in zip(self.u_min, self.u_max)):
             raise ValueError("u_min must be below u_max elementwise")

@@ -172,14 +172,27 @@ class TestValidate:
         assert main(["validate", write(tmp_path, text)]) == EXIT_VALIDATION
         assert "initial.pendulum" in capsys.readouterr().err
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize takes a quarter second to import and only the QP's
-        # phase-1 LP needs it.
+    @staticmethod
+    def _loads_scipy_optimize(call):
+        """Whether a fresh interpreter that imports quadpend.cli and then
+        runs call loads scipy.optimize or any of its modules."""
         src = str(Path(cli.__file__).parents[1])
         code = (f"import sys; sys.path.insert(0, {src!r}); "
-                "import quadpend.cli; "
-                "sys.exit('scipy.optimize' in sys.modules)")
-        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+                f"import quadpend.cli; {call}; "
+                "sys.exit(any(m == 'scipy.optimize' or "
+                "m.startswith('scipy.optimize.') for m in sys.modules))")
+        return subprocess.run([sys.executable, "-c", code],
+                              capture_output=True).returncode != 0
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize takes a quarter second and 20 MB to import, and
+        # only the QP's phase-1 LP needs it.
+        assert not self._loads_scipy_optimize("pass")
+
+    def test_validate_leaves_scipy_optimize_unloaded(self):
+        # Not even for the scenario whose runs call that LP.
+        assert not self._loads_scipy_optimize(
+            "quadpend.cli.main(['validate', 'fig5b-noise-clfqp.scn'])")
 
     def test_loading_twice_gives_equal_scenarios(self):
         path = shipped_scenario_path("fig6-pend-balance.scn")
@@ -236,12 +249,15 @@ class TestValidate:
         (HOVER.replace("dt: 0.001", "dt: 1.0e-170").replace(
             "duration: 0.05", "duration: 1.0e-168"), "dt"),
         (HOVER.replace("name: hover-test", 'name: "a\\ud800b"'), "name"),
-        (HOVER.replace("name: hover-test", "name: " + "x" * 250), "name")],
+        (HOVER.replace("name: hover-test", "name: " + "x" * 250), "name"),
+        (HOVER.replace("fbl-regulator", "clf-qp")
+         + "vehicle:\n  thrust_coeff: 1.0e-310\n", "thrust_coeff")],
         ids=["steps-overflow", "nul-in-name", "transition-time-underflow",
              "blend-window-underflow", "rotor-diameter-power-overflow",
              "half-length-cube-overflow", "half-length-power-underflow",
              "zero-torque-coeff", "dt-square-underflow", "surrogate-in-name",
-             "name-too-long-for-a-file"])
+             "name-too-long-for-a-file",
+             "thrust-coeff-default-u-max-overflow"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_value_that_broke_a_run_rejected(self, tmp_path, capsys, text,
                                              key, command):

@@ -1,6 +1,7 @@
 """Tests for the flight controllers and pendulum feedback linearization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,6 +305,74 @@ class TestClfQp:
         assert report.slack > 0.0
         assert np.all(u <= np.asarray(tight.u_max) + 1e-8)
         assert np.all(u >= np.asarray(tight.u_min) - 1e-8)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_clf_qp_keeps_the_box_and_decreases_or_reports_its_slack(data):
+    # A rotor ceiling from 1.05 to 4 times hover: the low ones make the
+    # decrease row infeasible, and the relaxed QP must then say by how much.
+    x, _, p, *_ = data.draw(step_inputs(pendulum=False, noise=False))
+    hover_u = p.m * p.g / (4.0 * p.rho * p.D ** 4 * p.C_T)
+    p = replace(p, u_max=(data.draw(st.floats(1.05, 4.0)) * hover_u,) * 4)
+    ref = OutputReference(*(data.draw(_vectors(-2.0, 2.0, 4))
+                            for _ in range(3)))
+    clf = setup_output_clf(data.draw(st.floats(0.1, 100.0)))
+    u, report = clf_qp_controller(x, ref, p, clf)
+    tol = 1e-9 * max(1.0, max(abs(b) for b in p.u_max))
+    assert all(lo - tol <= ui <= hi + tol
+               for ui, lo, hi in zip(u, p.u_min, p.u_max))
+    # The decrease row 2 eta'PG v <= -eta' decay eta, with v the output
+    # acceleration that u gives, less the reference's.
+    y, y_dot, Lf_h, A_x = output_dynamics(x, p)
+    eta = np.subtract([*y, *y_dot], [*ref.y_d, *ref.y_d_dot])
+    v = np.add(Lf_h, A_x @ mixer_forward(u, p)) - ref.y_d_ddot
+    drift = float(eta @ clf.decay @ eta)
+    push = 2.0 * (eta @ clf.P @ clf.G) @ v
+    excess = drift + push
+    scale = 1.0 + abs(drift) + abs(push)
+    if report.relaxed:
+        assert report.slack >= 0.0 and excess <= report.slack + 1e-7 * scale
+    else:
+        assert excess <= 1e-7 * scale
+
+
+def _pendulum_inputs(data):
+    """(xp, ref, ref_dot, ref_ddot, pp, g): an offset inside 0.95 L."""
+    pp = PendulumParams(L=data.draw(st.floats(0.1, 2.0)))
+    r = pp.L * data.draw(st.floats(0.0, 0.95))
+    angle = data.draw(st.floats(0.0, 2.0 * math.pi))
+    xp = [r * math.cos(angle), r * math.sin(angle),
+          *data.draw(_vectors(-3.0, 3.0, 2))]
+    refs = [data.draw(_vectors(-s, s, 2)) for s in (0.1, 0.5, 2.0)]
+    return (xp, *refs, pp, data.draw(st.floats(1.0, 20.0)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_pendulum_xi_realizes_nu_at_minimum_norm(data):
+    xp, ref, ref_dot, ref_ddot, pp, g = _pendulum_inputs(data)
+    xi = pendulum_fbl_xi(xp, ref, ref_dot, ref_ddot, pp, g)
+    f_p, B_p = pendulum_drift_and_coupling(*xp, pp.L, g)
+    nu = np.subtract(ref_ddot, np.multiply(8.0, np.subtract(xp[2:], ref_dot))
+                     + np.multiply(16.0, np.subtract(xp[:2], ref)))
+    np.testing.assert_allclose(f_p + B_p @ xi, nu, rtol=1e-9, atol=1e-9)
+    # Minimum norm: no part of xi lies in the null space of B_p.
+    null = np.cross(B_p[0], B_p[1])
+    assert abs(null @ xi) <= 1e-9 * np.linalg.norm(null) * (
+        1.0 + np.linalg.norm(xi))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), pz_ddot=st.floats(-20.0, 20.0))
+def test_pendulum_xi_prime_solves_its_planar_system(data, pz_ddot):
+    xp, ref, ref_dot, ref_ddot, pp, g = _pendulum_inputs(data)
+    xi_p = pendulum_fbl_xi_prime(xp, pz_ddot, ref, ref_dot, ref_ddot, pp, g)
+    f_p, B_p = pendulum_drift_and_coupling(*xp, pp.L, g)
+    nu = np.subtract(ref_ddot, np.multiply(8.0, np.subtract(xp[2:], ref_dot))
+                     + np.multiply(16.0, np.subtract(xp[:2], ref)))
+    np.testing.assert_allclose(f_p + B_p @ [*xi_p, pz_ddot], nu,
+                               rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize("law", ["fbl_regulator", "fbl_tracker",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import quadpend.controllers as ctl
+import quadpend.harness as harness
 from quadpend.controllers import TrackingGains
 from quadpend.harness import (CONTROLLERS, MAX_CONSECUTIVE_FAULTS, MAX_STEPS,
                               SERIES, NoiseSpec, Scenario, ScenarioError, SimLog,
@@ -16,7 +17,8 @@ from quadpend.harness import (CONTROLLERS, MAX_CONSECUTIVE_FAULTS, MAX_STEPS,
 from quadpend.models import (InitialState, PendulumParams,
                              VehicleParams, coupled_derivative,
                              mixer_inverse, pendulum_drift_and_coupling)
-from quadpend.numerics import QpInfeasibleError, rk4_step
+from quadpend.numerics import (NonFiniteDerivativeError, QpInfeasibleError,
+                               rk4_step)
 from quadpend.trajectories import TrajectorySpec
 
 P = VehicleParams()
@@ -328,6 +330,42 @@ class TestEventsAndAborts:
         assert log.t.size == 0
         assert log.metrics == {"clamp_events": 0, "qp_relaxed_events": 0,
                                "qp_faults": 0, "aborted": True}
+
+
+class TestAbortContract:
+    """closed_loop_step's aborts: a failing law ends the run at t without the
+    period's row, a failing RK4 step at t after it, and a state out of range
+    at t + dt after it."""
+
+    @pytest.mark.parametrize("fail, rows, abort_step", [
+        ("law", 3, 3), ("rk4", 4, 3), ("pitch", 4, 4)])
+    def test_abort_time_and_whether_the_row_stands(self, monkeypatch, fail,
+                                                   rows, abort_step):
+        calls = Counter()
+        real_law, real_rk4 = ctl.fbl_regulator, harness.rk4_step
+
+        def law(*args):
+            calls["law"] += 1
+            if fail == "law" and calls["law"] == 4:
+                raise ctl.AllocationError("forced")
+            return real_law(*args)
+
+        def rk4(deriv, x, dt, t=None):
+            calls["rk4"] += 1
+            x = real_rk4(deriv, x, dt, t=t)
+            if calls["rk4"] == 4 and fail == "rk4":
+                raise NonFiniteDerivativeError("forced")
+            if calls["rk4"] == 4 and fail == "pitch":
+                x[7] = math.pi / 2
+            return x
+
+        monkeypatch.setattr(ctl, "fbl_regulator", law)
+        monkeypatch.setattr(harness, "rk4_step", rk4)
+        sc = hover_scenario()
+        log = run_scenario(sc)
+        assert log.t.size == rows
+        assert log.aborted and log.abort_time == abort_step * sc.dt
+        assert log.metrics["aborted"] is True
 
 
 class TestQpFaultFallback:
