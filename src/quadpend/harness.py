@@ -329,15 +329,15 @@ def closed_loop_step(sc, design, x, diff, prev, t, rng, events, faults, last):
         raise StepAbort(t, "persistent QP infeasibility", row)
     if last:
         return row, None
-    noise = (None, None)  # on v_dot and on omega_dot
+    noise_acc = noise_ang = None
     if sc.noise.enabled:
         scale = math.sqrt(sc.noise.dt_ref / sc.dt)
-        noise = [rng.normal(0.0, std * scale, 3).tolist()
-                 for std in (sc.noise.accel_std, sc.noise.ang_accel_std)]
+        noise_acc = rng.normal(0.0, sc.noise.accel_std * scale, 3).tolist()
+        noise_ang = rng.normal(0.0, sc.noise.ang_accel_std * scale, 3).tolist()
     held = wrench.tolist()
     try:
         x = rk4_step(lambda xx: models.coupled_derivative(
-            xx, held, p, pp, *noise), x, sc.dt, t=t)
+            xx, held, p, pp, noise_acc, noise_ang), x, sc.dt, t=t)
     except (SingularAttitudeError, PendulumHorizontalError,
             NonFiniteDerivativeError) as exc:
         raise StepAbort(t, str(exc), row) from exc
