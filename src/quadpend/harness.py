@@ -388,7 +388,7 @@ def run_scenario(sc: Scenario) -> SimLog:
         if log.aborted or i == n_steps:
             break
         prev = log.u[i], log.wrench[i]
-        faults = faults + 1 if row[-2] else 0
+        faults = faults + 1 if log.qp_fault[i] else 0
 
     for name in names:
         setattr(log, name, getattr(log, name)[:rows])
