@@ -209,10 +209,7 @@ class QpReport:
     """Per-step CLF-QP diagnostics for the simulation log."""
 
     relaxed: bool = False
-    fault: bool = False
     slack: float = 0.0
-    active_set: tuple = ()
-    iterations: int = 0
 
 
 # L1 penalty on the CLF decrease slack when the raw QP is infeasible.
@@ -256,7 +253,6 @@ def clf_qp_controller(x, ref: OutputReference, p: VehicleParams,
             if within_bounds([a + b for a, b in zip((M @ cand).tolist(),
                                                      shift_f)]):
                 v = cand
-                report.active_set = (0,)
 
     if v is None:  # the QP rows, built only for the QP
         u_min, u_max = p.rotor_bounds
@@ -266,8 +262,6 @@ def clf_qp_controller(x, ref: OutputReference, p: VehicleParams,
             res = solve_qp(QpProblem(H=2.0 * np.eye(4), f=np.zeros(4),
                                      A_ineq=A, b_ineq=b))
             v = res.x
-            report.active_set = res.active_set
-            report.iterations = res.iterations
         except QpInfeasibleError:
             # Relax the decrease row; box rows stay hard.
             H = np.diag([2.0, 2.0, 2.0, 2.0, 2e-6])
@@ -281,8 +275,6 @@ def clf_qp_controller(x, ref: OutputReference, p: VehicleParams,
             v = res.x[:4]
             report.relaxed = True
             report.slack = float(res.x[4])
-            report.active_set = res.active_set
-            report.iterations = res.iterations
 
     return M @ v + shift, report
 

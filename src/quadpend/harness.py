@@ -11,9 +11,9 @@ bookkeeping follows the rule in ``models``: elementwise on Python floats,
 BLAS calls on numpy.
 
 A step that ends the run raises StepAbort, and run_scenario records it:
-a failing outer or inner law at t, without the period's row; a QP that
-stays infeasible, or a failing RK4 step, at t after the row; a pitch or
-pendulum out of range at t + dt after the row.
+a failing outer or inner law, an infeasible QP included, at t without the
+period's row; a failing RK4 step at t after the row; a pitch or pendulum
+out of range at t + dt after the row.
 """
 
 import math
@@ -29,7 +29,6 @@ from .numerics import (CareError, NonFiniteDerivativeError,
                        QpInfeasibleError, QpNotConvergedError, rk4_step)
 from .trajectories import SetpointDifferentiator, TrajectorySpec, sample_trajectory
 
-MAX_CONSECUTIVE_FAULTS = 50
 # Largest duration / dt a scenario may ask for.  The log is preallocated,
 # at roughly 300 bytes a step, so this bounds a run's log to about 3 GB.
 MAX_STEPS = 10 ** 7
@@ -116,8 +115,7 @@ class SimLog:
     cmd_accel: np.ndarray = None   # (N, 3)
     clamped: np.ndarray = None     # (N,) bool
     qp_relaxed: np.ndarray = None  # (N,) bool
-    qp_fault: np.ndarray = None    # (N,) bool
-    events: list = field(default_factory=list)
+    qp_fault: np.ndarray = None    # (N,) bool, always False
     aborted: bool = False
     abort_time: float = None
     abort_reason: str = ""
@@ -274,18 +272,16 @@ class StepAbort(Exception):
     period's log row when it stands, else None."""
 
 
-def closed_loop_step(sc, design, x, diff, prev, t, rng, events, faults, last):
+def closed_loop_step(sc, design, x, diff, t, rng, last):
     """One control period of sc from the state x (a list of floats) at t.
 
     design is the controller's setup(sc), diff the run's
-    SetpointDifferentiator, and prev the last (u, wrench), which a QP fault
-    holds and faults periods in a row have held.  Events go to the list
-    events.  Returns the period's log row (SERIES order, cmd_accel last, the
-    pendulum series only with a pendulum) and the state at t + dt, or None
-    when last.  Raises StepAbort at t with no row when a law fails; at t
-    after the row when the QP faults MAX_CONSECUTIVE_FAULTS periods in a row
-    or the RK4 step fails; at t + dt after the row when the pitch or the
-    pendulum leaves its range.
+    SetpointDifferentiator and rng its noise generator.  Returns the
+    period's log row (SERIES order, cmd_accel last, the pendulum series only
+    with a pendulum) and the state at t + dt, or None when last.  Raises
+    StepAbort at t with no row when a law fails, an infeasible QP included;
+    at t after the row when the RK4 step fails; at t + dt after the row when
+    the pitch or the pendulum leaves its range.
     """
     p, pp, law = sc.vehicle, sc.pendulum, CONTROLLERS[sc.controller]
     refs = sample_trajectory(sc.trajectory, t)
@@ -296,15 +292,10 @@ def closed_loop_step(sc, design, x, diff, prev, t, rng, events, faults, last):
                                       y_d_dot=(z_ref[1], *qd_dot),
                                       y_d_ddot=(z_ref[2], *qd_ddot))
         u, report = law.inner(sc, design, x, ref_out)
-    except QpInfeasibleError as exc:
-        report = ctl.QpReport(fault=True)
-        events.append((t, "qp_fault", str(exc)))
-        u, wrench = prev
-        q_d = (0.0, 0.0, 0.0)
-        thrust = float(wrench[0])
     except (SingularAttitudeError, PendulumHorizontalError,
             ctl.PendulumCouplingError, ctl.AllocationError,
-            QpNotConvergedError, np.linalg.LinAlgError) as exc:
+            QpInfeasibleError, QpNotConvergedError,
+            np.linalg.LinAlgError) as exc:
         raise StepAbort(t, str(exc), None) from exc
 
     # A command more than 1e-12 outside its bounds is clamped; this is
@@ -315,18 +306,13 @@ def closed_loop_step(sc, design, x, diff, prev, t, rng, events, faults, last):
                       in zip(u.tolist(), u_min.tolist(), u_max.tolist()))
     if was_clamped:
         u = np.clip(u, u_min, u_max)
-        events.append((t, "clamp", "rotor command clamped"))
-    if was_clamped or not report.fault:  # a fault repeats its wrench
-        wrench = models.mixer_forward(u, p)
-    if report.relaxed:
-        events.append((t, "qp_relaxed", f"slack {report.slack:.3g}"))
+    wrench = models.mixer_forward(u, p)
     c0, c1, c2 = models.gravity_direction_map(q_d, p.m)
+    # qp_fault is always False: a QP the relaxation cannot solve aborts.
     row = (t, x[:12], *([x[12:16]] if pp else ()), u, wrench, q_d, refs.pos,
-           *([refs.pend] if pp else ()), was_clamped, report.relaxed,
-           report.fault, (c0 * thrust, c1 * thrust, c2 * thrust + p.g))
+           *([refs.pend] if pp else ()), was_clamped, report.relaxed, False,
+           (c0 * thrust, c1 * thrust, c2 * thrust + p.g))
 
-    if report.fault and faults + 1 >= MAX_CONSECUTIVE_FAULTS:
-        raise StepAbort(t, "persistent QP infeasibility", row)
     if last:
         return row, None
     noise_acc = noise_ang = None
@@ -369,15 +355,13 @@ def run_scenario(sc: Scenario) -> SimLog:
     log.cmd_accel = np.empty((len(steps), 3))
     names = [n for n in (*SERIES, "cmd_accel") if getattr(log, n) is not None]
     columns = [getattr(log, name) for name in names]
-    hover = np.array([sc.vehicle.m * sc.vehicle.g, 0.0, 0.0, 0.0])
-    prev = models.mixer_inverse(hover, sc.vehicle), hover
     rng = np.random.default_rng(sc.seed)
-    faults = rows = 0
+    rows = 0
 
     for i in steps:
         try:
-            row, x = closed_loop_step(sc, design, x, diff, prev, i * sc.dt,
-                                      rng, log.events, faults, i == n_steps)
+            row, x = closed_loop_step(sc, design, x, diff, i * sc.dt, rng,
+                                      i == n_steps)
         except StepAbort as stop:
             t_stop, reason, row = stop.args
             log.abort(t_stop, reason)
@@ -385,10 +369,8 @@ def run_scenario(sc: Scenario) -> SimLog:
             for column, value in zip(columns, row):
                 column[i] = value
             rows = i + 1
-        if log.aborted or i == n_steps:
+        if log.aborted:
             break
-        prev = log.u[i], log.wrench[i]
-        faults = faults + 1 if log.qp_fault[i] else 0
 
     for name in names:
         setattr(log, name, getattr(log, name)[:rows])

@@ -182,11 +182,6 @@ def mixer_forward(u, p: VehicleParams) -> np.ndarray:
     return p.mixer @ np.asarray(u, dtype=float)
 
 
-def mixer_inverse(wrench, p: VehicleParams) -> np.ndarray:
-    """Rotor commands realizing a wrench exactly; no clamping applied here."""
-    return np.linalg.solve(p.mixer, np.asarray(wrench, dtype=float))
-
-
 def gravity_direction_map(q, m: float):
     """Thrust direction map g1(q), a rotated unit axis scaled by -1/m, as a
     tuple of floats."""

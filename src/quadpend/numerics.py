@@ -117,8 +117,12 @@ def solve_care(F, G, Q, R=None) -> np.ndarray:
         P = P_next
         best = min(best, (care_residual(F, G, Q, R, P), P), key=lambda b: b[0])
 
+    # The contract is a backward error: the residual is small next to the
+    # terms it sums, which ||Q|| alone understates when ||PSP|| >> ||Q||.
     residual, P = best
-    if not residual < 1e-8 * max(qnorm, 1.0):  # NaN fails
+    scale = (np.linalg.norm(F.T @ P + P @ F, "fro")
+             + np.linalg.norm(P @ S @ P, "fro") + qnorm)
+    if not residual < 1e-8 * max(scale, 1.0):  # NaN fails
         raise CareError("CARE residual contract not met")
     if np.min(np.linalg.eigvalsh(P)) <= 0:
         raise CareError("CARE solution is not positive definite")
@@ -134,8 +138,8 @@ class QpProblem:
 
     H: np.ndarray
     f: np.ndarray
-    A_ineq: np.ndarray = None
-    b_ineq: np.ndarray = None
+    A_ineq: np.ndarray
+    b_ineq: np.ndarray
 
     def __post_init__(self):
         H = np.atleast_2d(np.asarray(self.H, dtype=float))
@@ -147,13 +151,8 @@ class QpProblem:
             raise ValueError("f length must match H")
         if not (np.allclose(H, H.T) and np.linalg.eigvalsh(H).min() > 0):
             raise ValueError("H must be symmetric positive definite")
-        A = self.A_ineq
-        b = self.b_ineq
-        if A is None:
-            A = np.zeros((0, n))
-            b = np.zeros(0)
-        A = np.asarray(A, dtype=float).reshape(-1, n)
-        b = np.atleast_1d(np.asarray(b, dtype=float))
+        A = np.asarray(self.A_ineq, dtype=float).reshape(-1, n)
+        b = np.atleast_1d(np.asarray(self.b_ineq, dtype=float))
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "A_ineq", A)

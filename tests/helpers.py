@@ -24,6 +24,11 @@ def pendulum_accel(xp, p_ddot, pp, g):
                                          pp, noise_acc)[14:16])
 
 
+def mixer_inverse(wrench, p):
+    """Rotor commands realizing a wrench exactly; no clamping applied here."""
+    return np.linalg.solve(p.mixer, np.asarray(wrench, dtype=float))
+
+
 def linearize(f, x0, u0, eps=1e-5):
     """Central finite-difference Jacobians (A, B) of xdot = f(x, u)."""
     x0 = np.asarray(x0, dtype=float)

@@ -17,12 +17,12 @@ from quadpend.controllers import (output_error_matrices, setup_output_clf)
 from quadpend.harness import NoiseSpec, Scenario, run_scenario
 from quadpend.models import (InitialState, PendulumParams,
                              VehicleParams, coupled_derivative,
-                             euler_rate_matrix, mixer_forward, mixer_inverse)
+                             euler_rate_matrix, mixer_forward)
 from quadpend.numerics import (QpProblem, care_residual, rk4_step,
                                solve_care, solve_qp)
 from quadpend.trajectories import SetpointDifferentiator, TrajectorySpec
 
-from helpers import pendulum_accel
+from helpers import mixer_inverse, pendulum_accel
 from test_numerics import enumerate_qp, random_qp
 
 P = VehicleParams()

@@ -591,7 +591,7 @@ ADVERSARIAL = st.sampled_from([
     "clf-qp", "pend-lqr", "circle"])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.dictionaries(st.sampled_from(_leaf_keys()), ADVERSARIAL,
                        max_size=4))
 def test_adversarial_values_end_in_an_exit_code(sets):
@@ -679,7 +679,7 @@ def _main_stderr(argv):
         return main(argv), err.getvalue()
 
 
-@settings(max_examples=700, deadline=None, derandomize=True, database=None)
+@settings(max_examples=700)
 @given(typed_scenarios())
 def test_what_validate_accepts_runs_and_what_it_rejects_run_rejects(doc):
     with tempfile.TemporaryDirectory() as tmp:

@@ -90,7 +90,7 @@ class TestFblTerms:
 
 
 @pytest.mark.parametrize("pendulum", [False, True], ids=["12", "16"])
-@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@settings(max_examples=250)
 @given(data=st.data())
 def test_output_dynamics_matches_numpy_oracle_bit_for_bit(pendulum, data):
     x, _, p, *_ = data.draw(step_inputs(pendulum, noise=False))
@@ -198,7 +198,7 @@ def _vectors(lo, hi, n):
     return st.lists(st.floats(lo, hi), min_size=n, max_size=n)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_fbl_tracker_realizes_the_commanded_output_acceleration(data):
     # Measured without Lf_h and A(x): central differences of y_dot along
@@ -267,7 +267,7 @@ class TestClfQp:
         wrench = mixer_forward(u, P)
         assert wrench[0] == pytest.approx(P.m * P.g, abs=1e-10)
         np.testing.assert_allclose(wrench[1:4], 0.0, atol=1e-10)
-        assert not report.relaxed and not report.fault
+        assert not report.relaxed and report.slack == 0.0
 
     def test_commands_within_bounds_and_clf_decrease(self):
         clf = setup_output_clf()
@@ -307,7 +307,7 @@ class TestClfQp:
         assert np.all(u >= np.asarray(tight.u_min) - 1e-8)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_clf_qp_keeps_the_box_and_decreases_or_reports_its_slack(data):
     # A rotor ceiling from 1.05 to 4 times hover: the low ones make the
@@ -348,7 +348,7 @@ def _pendulum_inputs(data):
     return (xp, *refs, pp, data.draw(st.floats(1.0, 20.0)))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_pendulum_xi_realizes_nu_at_minimum_norm(data):
     xp, ref, ref_dot, ref_ddot, pp, g = _pendulum_inputs(data)
@@ -363,7 +363,7 @@ def test_pendulum_xi_realizes_nu_at_minimum_norm(data):
         1.0 + np.linalg.norm(xi))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(data=st.data(), pz_ddot=st.floats(-20.0, 20.0))
 def test_pendulum_xi_prime_solves_its_planar_system(data, pz_ddot):
     xp, ref, ref_dot, ref_ddot, pp, g = _pendulum_inputs(data)
@@ -484,12 +484,25 @@ class TestPendulumLqr:
         eigs = np.linalg.eigvals(A - B @ K)
         assert np.max(eigs.real) < -1e-3
 
-    @settings(max_examples=60, deadline=None, derandomize=True,
-              database=None)
-    @given(q=_vectors(1e-3, 1e3, 8), r=_vectors(1e-3, 1e3, 2))
+    @settings(max_examples=60)
+    @given(q=_vectors(-3.0, 3.0, 8), r=_vectors(-3.0, 3.0, 2))
     def test_closed_loop_hurwitz_for_any_positive_weights(self, q, r):
+        # Log-uniform weights: the decades near 1e-3 matter as much as 1e3.
         A, B = pendulum_linear_system(P.g, PP.L)
-        K = setup_pendulum_lqr(P.g, PP.L, q, r)
+        K = setup_pendulum_lqr(P.g, PP.L, [10.0 ** e for e in q],
+                               [10.0 ** e for e in r])
+        assert np.max(np.linalg.eigvals(A - B @ K).real) < 0.0
+
+    def test_weights_whose_psp_dwarfs_q_synthesize(self):
+        # Draw 293 of a seeded log-uniform sweep over [1e-3, 1e3]: ||PSP||_F
+        # is 1.5e5 against ||Q||_F = 1.2e3, so no pass gets the residual
+        # under 1e-8 ||Q||_F, while its backward error is below 1e-10.
+        rng = np.random.default_rng(0)
+        for _ in range(294):
+            q = 10 ** rng.uniform(-3, 3, 8)
+            r = 10 ** rng.uniform(-3, 3, 2)
+        A, B = pendulum_linear_system(9.81, 0.5)
+        K = setup_pendulum_lqr(9.81, 0.5, q, r)
         assert np.max(np.linalg.eigvals(A - B @ K).real) < 0.0
 
     def test_setpoint_clamped(self):

@@ -1,4 +1,4 @@
-"""Tests for the simulation harness, metrics, and event bookkeeping."""
+"""Tests for the simulation harness, metrics, and abort bookkeeping."""
 
 import math
 from collections import Counter
@@ -6,20 +6,22 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadpend.controllers as ctl
 import quadpend.harness as harness
 from quadpend.controllers import TrackingGains
-from quadpend.harness import (CONTROLLERS, MAX_CONSECUTIVE_FAULTS, MAX_STEPS,
-                              SERIES, NoiseSpec, Scenario, ScenarioError, SimLog,
+from quadpend.harness import (CONTROLLERS, MAX_STEPS, SERIES, NoiseSpec,
+                              Scenario, ScenarioError, SimLog,
                               compute_metrics, count_overshoots, rms,
                               run_scenario, settling_time)
 from quadpend.models import (InitialState, PendulumParams,
                              VehicleParams, coupled_derivative,
-                             mixer_inverse, pendulum_drift_and_coupling)
+                             pendulum_drift_and_coupling)
 from quadpend.numerics import (NonFiniteDerivativeError, QpInfeasibleError,
                                rk4_step)
-from quadpend.trajectories import TrajectorySpec
+from quadpend.trajectories import TRAJECTORY_KINDS, TrajectorySpec
 
 P = VehicleParams()
 
@@ -172,6 +174,41 @@ def test_series_shapes_and_dtypes(controller):
     assert log.cmd_accel.shape == (6, 3)
 
 
+def assert_same_log(a, b):
+    """Every series byte for byte, the metrics and the abort."""
+    for name in (*SERIES, "cmd_accel"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or x.tobytes() == y.tobytes(), name
+    assert a.metrics == b.metrics
+    assert ((a.aborted, a.abort_time, a.abort_reason)
+            == (b.aborted, b.abort_time, b.abort_reason))
+
+
+def _box(bound, n=3):
+    return st.tuples(*[st.floats(-bound, bound)] * n)
+
+
+@st.composite
+def short_noisy_scenarios(draw, controller):
+    """A 0.05 s run of controller from a random state near hover, with a
+    random reference kind, noise level and seed."""
+    pendulum = None
+    initial_pendulum = (0.0, 0.0, 0.0, 0.0)
+    if CONTROLLERS[controller].pendulum:
+        pendulum = PendulumParams()
+        initial_pendulum = (*draw(_box(0.05, 2)), 0.0, 0.0)
+    x, y, z = draw(_box(0.5))
+    return Scenario(
+        controller=controller, pendulum=pendulum,
+        trajectory=TrajectorySpec(kind=draw(st.sampled_from(TRAJECTORY_KINDS))),
+        initial=InitialState(p=(x, y, z - 2.0), v=draw(_box(0.5)),
+                             q=draw(_box(0.2)), omega=draw(_box(0.5)),
+                             pendulum=initial_pendulum),
+        duration=0.05, seed=draw(st.integers(0, 2 ** 32 - 1)),
+        noise=NoiseSpec(enabled=True, accel_std=draw(st.floats(0.0, 1.0)),
+                        ang_accel_std=draw(st.floats(0.0, 0.5))))
+
+
 class TestDeterminism:
     @staticmethod
     def noisy(controller):
@@ -189,10 +226,15 @@ class TestDeterminism:
         run_scenario(self.noisy(other))
         b = run_scenario(self.noisy(controller))
         assert a.t.size == b.t.size == 501
-        for name in (*SERIES, "cmd_accel"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert (x is None and y is None) or x.tobytes() == y.tobytes(), name
-        assert a.metrics == b.metrics
+        assert_same_log(a, b)
+
+    @pytest.mark.parametrize("controller", list(CONTROLLERS))
+    @settings(max_examples=5)
+    @given(data=st.data())
+    def test_random_noisy_scenario_reruns_bitwise_identical(self, controller,
+                                                            data):
+        sc = data.draw(short_noisy_scenarios(controller))
+        assert_same_log(run_scenario(sc), run_scenario(sc))
 
     def test_different_seeds_differ(self):
         a = run_scenario(hover_scenario(noise=NoiseSpec(enabled=True), seed=1,
@@ -302,10 +344,10 @@ class TestEventsAndAborts:
         log = run_scenario(sc)
         n_clamped = int(np.sum(log.clamped))
         assert n_clamped > 0
-        clamp_events = [e for e in log.events if e[1] == "clamp"]
-        assert len(clamp_events) == n_clamped
-        flagged_times = set(log.t[log.clamped].tolist())
-        assert {e[0] for e in clamp_events} == flagged_times
+        u_min, u_max = P.rotor_bounds
+        assert ((log.u >= u_min) & (log.u <= u_max)).all()
+        at_bound = ((log.u == u_min) | (log.u == u_max)).any(axis=1)
+        assert at_bound[log.clamped].all()
         assert log.metrics["clamp_events"] == n_clamped
 
     def test_pendulum_horizontal_abort(self):
@@ -333,21 +375,24 @@ class TestEventsAndAborts:
 
 
 class TestAbortContract:
-    """closed_loop_step's aborts: a failing law ends the run at t without the
-    period's row, a failing RK4 step at t after it, and a state out of range
-    at t + dt after it."""
+    """closed_loop_step's aborts: a failing law, an infeasible QP included,
+    ends the run at t without the period's row, a failing RK4 step at t after
+    it, and a state out of range at t + dt after it."""
 
     @pytest.mark.parametrize("fail, rows, abort_step", [
-        ("law", 3, 3), ("rk4", 4, 3), ("pitch", 4, 4)])
+        ("law", 3, 3), ("qp", 3, 3), ("rk4", 4, 3), ("pitch", 4, 4)])
     def test_abort_time_and_whether_the_row_stands(self, monkeypatch, fail,
                                                    rows, abort_step):
+        # "law" fails the regulator's allocation, "qp" the CLF-QP's QP.
+        name, error = (("clf_qp_controller", QpInfeasibleError) if fail == "qp"
+                       else ("fbl_regulator", ctl.AllocationError))
         calls = Counter()
-        real_law, real_rk4 = ctl.fbl_regulator, harness.rk4_step
+        real_law, real_rk4 = getattr(ctl, name), harness.rk4_step
 
         def law(*args):
             calls["law"] += 1
-            if fail == "law" and calls["law"] == 4:
-                raise ctl.AllocationError("forced")
+            if fail in ("law", "qp") and calls["law"] == 4:
+                raise error("forced")
             return real_law(*args)
 
         def rk4(deriv, x, dt, t=None):
@@ -359,51 +404,17 @@ class TestAbortContract:
                 x[7] = math.pi / 2
             return x
 
-        monkeypatch.setattr(ctl, "fbl_regulator", law)
+        monkeypatch.setattr(ctl, name, law)
         monkeypatch.setattr(harness, "rk4_step", rk4)
-        sc = hover_scenario()
+        sc = hover_scenario(controller="clf-qp" if fail == "qp"
+                            else "fbl-regulator")
         log = run_scenario(sc)
         assert log.t.size == rows
         assert log.aborted and log.abort_time == abort_step * sc.dt
+        assert log.abort_reason == ("pitch reached +-pi/2" if fail == "pitch"
+                                    else "forced")
         assert log.metrics["aborted"] is True
-
-
-class TestQpFaultFallback:
-    """A CLF-QP fault holds hover first, then the last command."""
-
-    def _run(self, monkeypatch, good_calls):
-        real = ctl.clf_qp_controller
-        calls = Counter()
-
-        def faulty(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] > good_calls:
-                raise QpInfeasibleError("forced fault")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(ctl, "clf_qp_controller", faulty)
-        sc = hover_scenario(controller="clf-qp")
-        return sc, run_scenario(sc)
-
-    def test_faults_from_the_first_call_hold_hover(self, monkeypatch):
-        sc, log = self._run(monkeypatch, 0)
-        assert log.t.size == MAX_CONSECUTIVE_FAULTS == 50
-        assert log.aborted and log.abort_time == 49 * sc.dt
-        assert log.abort_reason == "persistent QP infeasibility"
-        hover = np.array([P.m * P.g, 0.0, 0.0, 0.0])
-        assert np.array_equal(log.wrench[0], hover)
-        assert np.array_equal(log.u[0], mixer_inverse(hover, P))
-        assert np.array_equal(log.q_d[0], np.zeros(3))
-        assert log.qp_fault.all()
-        assert [e[1] for e in log.events] == ["qp_fault"] * 50
-
-    def test_faults_from_the_fourth_call_hold_the_last_command(
-            self, monkeypatch):
-        _, log = self._run(monkeypatch, 3)
-        assert log.t.size == 53 and log.aborted
-        assert not log.qp_fault[:3].any() and log.qp_fault[3:].all()
-        assert np.array_equal(log.u[3:], np.tile(log.u[2], (50, 1)))
-        assert np.array_equal(log.wrench[3:], np.tile(log.wrench[2], (50, 1)))
+        assert log.metrics["qp_faults"] == 0
 
 
 @pytest.mark.xfail(raises=AssertionError, reason=(

@@ -12,12 +12,11 @@ from quadpend.models import (InitialState, PendulumHorizontalError,
                              PendulumParams, SingularAttitudeError,
                              VehicleParams,
                              euler_rate_matrix, gravity_direction_map,
-                             coupled_derivative, mixer_forward,
-                             mixer_inverse, mixer_matrix,
+                             coupled_derivative, mixer_forward, mixer_matrix,
                              pendulum_drift_and_coupling, pendulum_zeta)
 
-from helpers import (cross3, oracle_coupled_derivative, pendulum_accel,
-                     step_inputs)
+from helpers import (cross3, mixer_inverse, oracle_coupled_derivative,
+                     pendulum_accel, step_inputs)
 
 P = VehicleParams()
 
@@ -147,7 +146,7 @@ VEC3 = st.lists(EDGE_FLOATS, min_size=3, max_size=3)
 
 
 # cross3 is the bit-for-bit oracles' cross product (tests/helpers.py).
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500)
 @given(VEC3, VEC3)
 def test_cross3_matches_np_cross_bit_for_bit(a, b):
     a, b = np.array(a), np.array(b)
@@ -158,7 +157,7 @@ def test_cross3_matches_np_cross_bit_for_bit(a, b):
 
 @pytest.mark.parametrize("noise", [False, True], ids=["quiet", "noise"])
 @pytest.mark.parametrize("pendulum", [False, True], ids=["12", "16"])
-@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@settings(max_examples=250)
 @given(data=st.data())
 def test_coupled_derivative_matches_numpy_oracle_bit_for_bit(pendulum, noise,
                                                              data):

@@ -79,7 +79,7 @@ def _assert_same_step(deriv, x, dt):
 
 @pytest.mark.parametrize("noise", [False, True], ids=["quiet", "noise"])
 @pytest.mark.parametrize("pendulum", [False, True], ids=["12", "16"])
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(data=st.data(), dt=st.floats(1e-4, 1e-2))
 def test_rk4_step_matches_numpy_oracle_bit_for_bit(pendulum, noise, data, dt):
     x, wrench, p, pp, noise_acc, noise_ang = data.draw(
@@ -90,7 +90,7 @@ def test_rk4_step_matches_numpy_oracle_bit_for_bit(pendulum, noise, data, dt):
         xx, held, p, pp, n_acc, n_ang), x, dt)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(x=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=16),
        dt=st.floats(1e-4, 1.0))
 def test_rk4_step_matches_numpy_oracle_for_an_array_derivative(x, dt):
@@ -286,7 +286,8 @@ class TestQp:
             QpProblem(H=np.eye(2), f=np.zeros(3),
                       A_ineq=np.zeros((1, 2)), b_ineq=np.zeros(1))
         with pytest.raises(ValueError, match="H must be square"):
-            QpProblem(H=np.ones((2, 3)), f=np.zeros(2))
+            QpProblem(H=np.ones((2, 3)), f=np.zeros(2),
+                      A_ineq=np.zeros((0, 2)), b_ineq=np.zeros(0))
 
     @pytest.mark.parametrize("b0", [-math.inf, math.nan])
     def test_non_finite_data_raises(self, b0):

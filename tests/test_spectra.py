@@ -17,7 +17,7 @@ import pytest
 
 from quadpend.controllers import pendulum_linear_system
 from quadpend.harness import CONTROLLERS, Scenario, closed_loop_step
-from quadpend.models import InitialState, PendulumParams, mixer_inverse
+from quadpend.models import InitialState, PendulumParams
 from quadpend.trajectories import SetpointDifferentiator, TrajectorySpec
 
 SETPOINT = (0.0, 0.0, -2.0)
@@ -38,11 +38,8 @@ def step_map(sc, design, z):
     diff = SetpointDifferentiator(sc.dt)
     diff.update(z[n:n + 3])
     diff.update(z[n + 3:])
-    p = sc.vehicle
-    hover = np.array([p.m * p.g, 0.0, 0.0, 0.0])
-    row, x = closed_loop_step(
-        sc, design, z[:n].tolist(), diff, (mixer_inverse(hover, p), hover),
-        0.0, np.random.default_rng(0), [], 0, False)
+    row, x = closed_loop_step(sc, design, z[:n].tolist(), diff, 0.0,
+                              np.random.default_rng(0), False)
     q_d = row[5 if sc.has_pendulum else 4]
     return np.concatenate([x, z[n + 3:], q_d])
 
