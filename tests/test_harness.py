@@ -416,6 +416,19 @@ class TestAbortContract:
         assert log.metrics["aborted"] is True
         assert log.metrics["qp_faults"] == 0
 
+    def test_a_qp_fault_at_the_first_call_aborts_at_zero_with_no_row(
+            self, monkeypatch):
+        def law(*args):
+            raise QpInfeasibleError("forced")
+
+        monkeypatch.setattr(ctl, "clf_qp_controller", law)
+        log = run_scenario(hover_scenario(controller="clf-qp"))
+        assert log.t.size == 0 and log.u.shape == (0, 4)
+        assert log.aborted and log.abort_time == 0.0
+        assert log.abort_reason == "forced"
+        assert log.metrics["aborted"] is True
+        assert log.metrics["qp_faults"] == 0
+
 
 @pytest.mark.xfail(raises=AssertionError, reason=(
     "ROADMAP item 16: fbl-regulator drops the outer "
