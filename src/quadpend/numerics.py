@@ -7,6 +7,8 @@ pass so the residual contract holds even on marginally conditioned problems.
 
 The QP solver is a primal active-set method for small dense strictly convex
 problems (inequality constraints only, convention A_ineq @ x <= b_ineq).
+When the origin is infeasible, its phase-1 LP calls scipy's HiGHS binding
+directly, with linprog's model and options but not its Python front end.
 """
 
 import math
@@ -168,24 +170,50 @@ class QpResult:
 
 
 def _feasible_start(A, b, n, tol):
-    """Point satisfying Ax <= b, via phase-1 LP when the origin fails."""
+    """Point satisfying Ax <= b, via phase-1 LP when the origin fails.
+
+    The LP, min t s.t. Ax - t <= b, t >= 0, goes to the HiGHS binding that
+    scipy ships, with the model and the options that
+    scipy.optimize.linprog(method="highs") would pass it, so the vertex is
+    linprog's to the bit.
+    """
     x0 = np.zeros(n)
     if A.shape[0] == 0 or np.all(A @ x0 <= b + tol):
         return x0
-    # minimize t  s.t.  Ax - t <= b, t >= 0
+    # Only here: scipy.optimize costs a quarter second to import.
+    from scipy.optimize._highspy import _core as highs
     k = A.shape[0]
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    A_ub = np.hstack([A, -np.ones((k, 1))])
-    bounds = [(None, None)] * n + [(0, None)]
-    import scipy.optimize  # only here: it costs a quarter second to import
-    res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b, bounds=bounds,
-                                 method="highs")
-    if not res.success or res.x[-1] > 1e-7:
-        viol = np.where(A @ (res.x[:n] if res.success else x0) > b + tol)[0]
+    inf = highs.kHighsInf
+    cols = np.hstack([A, -np.ones((k, 1))]).T  # row j is column j of [A, -1]
+    nz = cols != 0  # CSC, exact zeros dropped
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n + 1
+    lp.num_row_ = lp.a_matrix_.num_row_ = k
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    start = np.append(0, np.cumsum(nz.sum(axis=1)))
+    lp.a_matrix_.start_ = start.astype(np.int32)
+    lp.a_matrix_.index_ = np.nonzero(nz)[1].astype(np.int32)
+    lp.a_matrix_.value_ = cols[nz]
+    lp.col_cost_ = np.append(np.zeros(n), 1.0)
+    lp.col_lower_ = np.append(np.full(n, -inf), 0.0)
+    lp.col_upper_ = np.full(n + 1, inf)
+    lp.row_lower_ = np.full(k, -inf)
+    lp.row_upper_ = b
+    solver = highs._Highs()  # a fresh one: a reused one keeps its basis
+    dual = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    for option in (("presolve", "on"), ("output_flag", False),
+                   ("log_to_console", False), ("highs_debug_level", 0),
+                   ("simplex_strategy", dual)):  # linprog's, set one by one
+        solver.setOptionValue(*option)
+    error = highs.HighsStatus.kError
+    solved = (solver.passModel(lp) != error and solver.run() != error
+              and solver.getModelStatus() == highs.HighsModelStatus.kOptimal)
+    x = np.array(solver.getSolution().col_value) if solved else x0
+    if not solved or x[-1] > 1e-7:
+        viol = np.where(A @ x[:n] > b + tol)[0]
         raise QpInfeasibleError("QP constraints are infeasible",
                                 violated_rows=viol)
-    return res.x[:n]
+    return x[:n]
 
 
 QP_MAX_ITER = 200

@@ -194,6 +194,14 @@ class TestValidate:
         assert not self._loads_scipy_optimize(
             "quadpend.cli.main(['validate', 'fig5b-noise-clfqp.scn'])")
 
+    def test_run_without_a_qp_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # A run whose controller never solves a QP pays for none of it.
+        args = ["run", "fig3-circle-fbl.scn", "--out", str(tmp_path),
+                "--set", "duration=0.1"]
+        assert not self._loads_scipy_optimize(
+            f"assert quadpend.cli.main({args!r}) == 0")
+        assert (tmp_path / "fig3-circle-fbl.csv").exists()
+
     def test_loading_twice_gives_equal_scenarios(self):
         path = shipped_scenario_path("fig6-pend-balance.scn")
         assert load_scenarios(path) == load_scenarios(path)

@@ -12,7 +12,8 @@ from quadpend.models import coupled_derivative
 from quadpend.numerics import (CareError, NonFiniteDerivativeError,
                                QpInfeasibleError, QpNotConvergedError,
                                QpProblem, QpResult,
-                               care_residual, rk4_step, solve_care, solve_qp)
+                               _feasible_start, care_residual, rk4_step,
+                               solve_care, solve_qp)
 
 from helpers import linearize, oracle_rk4_step, step_inputs
 
@@ -295,6 +296,80 @@ class TestQp:
                          b_ineq=np.array([b0, 1.0]))
         with pytest.raises(QpNotConvergedError, match="NaN or infinity"):
             solve_qp(prob)
+
+
+def linprog_feasible_start(A, b, n, tol):
+    """_feasible_start as scipy.optimize.linprog(method="highs") gives it:
+    the reference whose bytes the direct HiGHS call must reproduce."""
+    import scipy.optimize
+    x0 = np.zeros(n)
+    if A.shape[0] == 0 or np.all(A @ x0 <= b + tol):
+        return x0
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    A_ub = np.hstack([A, -np.ones((A.shape[0], 1))])
+    res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=b, method="highs",
+                                 bounds=[(None, None)] * n + [(0, None)])
+    if not res.success or res.x[-1] > 1e-7:
+        viol = np.where(A @ (res.x[:n] if res.success else x0) > b + tol)[0]
+        raise QpInfeasibleError("QP constraints are infeasible",
+                                violated_rows=viol)
+    return res.x[:n]
+
+
+def phase1_lp(rng, shape):
+    """A seeded phase-1 LP (A, b, n): the CLF-QP's hard 9x4 and relaxed
+    10x5 rows, or a general k x n; some entries of A exactly zero, and b
+    scaled from 1e-3 to 1e3."""
+    if shape == "general":
+        n, k = int(rng.integers(1, 9)), int(rng.integers(1, 15))
+        A = rng.normal(size=(k, n))
+        b = rng.normal(size=k)
+    else:  # decrease row, then the rotor box rows M v <= u_max - shift ...
+        M = rng.normal(size=(4, 4))
+        shift = rng.normal(size=4)
+        A = np.vstack([rng.normal(size=4), M, -M])
+        b = np.concatenate([[-abs(rng.normal())], rng.uniform(0, 2, 4) - shift,
+                            shift])
+        if shape == "clf-10x5":  # ... with the decrease row's slack
+            A = np.hstack([A, np.zeros((9, 1))])
+            A[0, 4] = -1.0
+            A = np.vstack([A, -np.eye(5)[4]])
+            b = np.append(b, 0.0)
+    A[rng.random(A.shape) < 0.2] = 0.0
+    return A, b * 10.0 ** rng.uniform(-3, 3), A.shape[1]
+
+
+class TestFeasibleStart:
+    @pytest.mark.parametrize("shape", ["clf-9x4", "clf-10x5", "general"])
+    def test_same_bytes_and_violated_rows_as_linprog(self, shape, capfd):
+        # Also the guard that a scipy upgrade left the HiGHS binding, the
+        # model linprog builds and its options as _feasible_start has them.
+        rng = np.random.default_rng(29)
+        feasible = 0
+        for _ in range(150):
+            A, b, n = phase1_lp(rng, shape)
+            try:
+                want = linprog_feasible_start(A, b, n, 1e-10)
+            except QpInfeasibleError as exc:
+                with pytest.raises(QpInfeasibleError) as got:
+                    _feasible_start(A, b, n, 1e-10)
+                assert got.value.violated_rows == exc.violated_rows
+                continue
+            assert _feasible_start(A, b, n, 1e-10).tobytes() == want.tobytes()
+            feasible += 1
+        assert 20 < feasible < 130  # both outcomes, often
+        assert capfd.readouterr() == ("", "")  # HiGHS logged nothing
+
+    def test_a_model_highs_rejects_is_infeasible_at_the_origin(self):
+        # HiGHS refuses a matrix entry of 1e15 or more; linprog reports
+        # that as a failure, and the violated rows are those of the origin.
+        A, b = np.array([[1e16, 1.0], [1.0, 0.0]]), np.array([-1.0, 5.0])
+        with pytest.raises(QpInfeasibleError) as exc:
+            linprog_feasible_start(A, b, 2, 1e-10)
+        with pytest.raises(QpInfeasibleError) as got:
+            _feasible_start(A, b, 2, 1e-10)
+        assert got.value.violated_rows == exc.value.violated_rows == (0,)
 
 
 class TestLinearize:
