@@ -118,6 +118,8 @@ def _convert(value, like, key):
         return value
     if isinstance(like, float):
         try:
+            if isinstance(value, bool):  # float(True) is 1.0
+                raise TypeError
             x = float(value)
         except (TypeError, ValueError):
             raise ValidationError(
@@ -152,8 +154,8 @@ def build_scenario(doc: dict, default_name: str, schema: dict,
     try:
         for section, (cls, _) in _SECTIONS.items():
             sdoc = doc.get(section)
-            if section == "pendulum" and not sdoc:
-                continue  # no pendulum section, no pendulum
+            if section == "pendulum" and sdoc is None:
+                continue  # no pendulum section, or pendulum: null
             kw[section] = cls(**_typed_fields(
                 cls(), sdoc or {}, schema[section], f"{section}."))
         return Scenario(**kw)
@@ -299,13 +301,9 @@ def emit_log(log: SimLog, fmt: str, out_dir: Path):
                 sep = ", "
             fh.write("}")
 
-    metrics = dict(log.metrics)
-    metrics["aborted"] = log.aborted
-    if log.aborted:
-        metrics["abort_time"] = log.abort_time
-        metrics["abort_reason"] = log.abort_reason
     metrics_path = out_dir / f"{log.scenario_name}.metrics.json"
-    metrics_path.write_text(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
+    metrics_path.write_text(
+        json.dumps(log.metrics, sort_keys=True, indent=2) + "\n")
     return series_path, metrics_path
 
 

@@ -10,6 +10,9 @@ acceleration, including noise and clamping effects.  The per-step
 bookkeeping follows the rule in ``models``: elementwise on Python floats,
 BLAS calls on numpy.
 
+SimLog's fields declare the series a run logs (SERIES is read off them), a
+step's row is keyed by their names, and compute_metrics builds the metrics.
+
 A step that ends the run raises StepAbort, and run_scenario records it:
 a failing outer or inner law, an infeasible QP included, at t without the
 period's row; a failing RK4 step at t after the row; a pitch or pendulum
@@ -17,7 +20,7 @@ out of range at t + dt after the row.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from .trajectories import SetpointDifferentiator, TrajectorySpec, sample_traject
 # Largest duration / dt a scenario may ask for.  The log is preallocated,
 # at roughly 300 bytes a step, so this bounds a run's log to about 3 GB.
 MAX_STEPS = 10 ** 7
+NOISE_DT_REF = 1e-3  # the step at which NoiseSpec's stds are quoted
 
 
 class ScenarioError(ValueError):
@@ -42,20 +46,17 @@ class ScenarioError(ValueError):
 class NoiseSpec:
     """Additive zero-mean Gaussian process noise, held over each step.
 
-    Stds are quoted at the reference step dt_ref and rescaled by
-    sqrt(dt_ref/dt) so the injected noise energy is step-size independent.
+    Stds are quoted at NOISE_DT_REF and rescaled by sqrt(NOISE_DT_REF/dt),
+    so the injected noise energy is step-size independent.
     """
 
     enabled: bool = False
     accel_std: float = 0.2      # m/s^2 on v_dot
     ang_accel_std: float = 0.1  # rad/s^2 on omega_dot
-    dt_ref: float = 1e-3
 
     def __post_init__(self):
         if self.accel_std < 0 or self.ang_accel_std < 0:
             raise ScenarioError("noise stds must be nonnegative")
-        if self.dt_ref <= 0:
-            raise ScenarioError("noise dt_ref must be positive")
 
 
 @dataclass(frozen=True)
@@ -98,24 +99,44 @@ class Scenario:
         return self.pendulum is not None
 
 
+@dataclass(frozen=True)
+class Series:
+    """One emitted SimLog series: its CSV column names, in order."""
+
+    columns: tuple
+    dtype: type = float
+    pendulum: bool = False  # None without a pendulum
+    blank: bool = False     # without a pendulum its CSV cells stay, empty
+
+
+def _series(*columns, dtype=float, pendulum=False, blank=False):
+    """A SimLog field that holds the emitted series of these CSV columns."""
+    return field(default=None, metadata={
+        "series": Series(columns, dtype, pendulum, blank)})
+
+
 @dataclass
 class SimLog:
-    """Uniformly sampled record of a scenario run plus derived metrics."""
+    """Uniformly sampled record of a scenario run plus its metrics file.
+    Each _series field is an emitted series, in CSV order: (N,) for one
+    column, else (N, columns).  cmd_accel is for the metrics only."""
 
     scenario_name: str
     dt: float
-    t: np.ndarray = None
-    quad: np.ndarray = None        # (N, 12)
-    pend: np.ndarray = None        # (N, 4) or None
-    u: np.ndarray = None           # (N, 4)
-    wrench: np.ndarray = None      # (N, 4)
-    q_d: np.ndarray = None         # (N, 3)
-    ref_pos: np.ndarray = None     # (N, 3)
-    ref_pend: np.ndarray = None    # (N, 2) or None
+    t: np.ndarray = _series("t")
+    quad: np.ndarray = _series("p_X", "p_Y", "p_Z", "v_X", "v_Y", "v_Z",
+                               "phi", "theta", "psi", "w_x", "w_y", "w_z")
+    pend: np.ndarray = _series("a", "b", "a_dot", "b_dot", pendulum=True,
+                               blank=True)
+    u: np.ndarray = _series("u1", "u2", "u3", "u4")
+    wrench: np.ndarray = _series("f_z", "tau_x", "tau_y", "tau_z")
+    q_d: np.ndarray = _series("phi_d", "theta_d", "psi_d")
+    ref_pos: np.ndarray = _series("p_Xd", "p_Yd", "p_Zd")
+    ref_pend: np.ndarray = _series("a_d", "b_d", pendulum=True)
+    clamped: np.ndarray = _series("clamped", dtype=bool)
+    qp_relaxed: np.ndarray = _series("qp_relaxed", dtype=bool)
+    qp_fault: np.ndarray = _series("qp_fault", dtype=bool)  # always False
     cmd_accel: np.ndarray = None   # (N, 3)
-    clamped: np.ndarray = None     # (N,) bool
-    qp_relaxed: np.ndarray = None  # (N,) bool
-    qp_fault: np.ndarray = None    # (N,) bool, always False
     aborted: bool = False
     abort_time: float = None
     abort_reason: str = ""
@@ -128,33 +149,9 @@ class SimLog:
         self.abort_reason = reason
 
 
-@dataclass(frozen=True)
-class Series:
-    """One emitted SimLog series: its CSV column names, in order."""
-
-    columns: tuple
-    dtype: type = float
-    pendulum: bool = False  # None without a pendulum
-    blank: bool = False     # without a pendulum its CSV cells stay, empty
-
-
-# The emitted SimLog series in CSV order; the JSON keys are their names.  A
-# one-column series is (N,), the others (N, columns).  cmd_accel is logged
-# for the metrics only.
-SERIES = {
-    "t": Series(("t",)),
-    "quad": Series(("p_X", "p_Y", "p_Z", "v_X", "v_Y", "v_Z",
-                    "phi", "theta", "psi", "w_x", "w_y", "w_z")),
-    "pend": Series(("a", "b", "a_dot", "b_dot"), pendulum=True, blank=True),
-    "u": Series(("u1", "u2", "u3", "u4")),
-    "wrench": Series(("f_z", "tau_x", "tau_y", "tau_z")),
-    "q_d": Series(("phi_d", "theta_d", "psi_d")),
-    "ref_pos": Series(("p_Xd", "p_Yd", "p_Zd")),
-    "ref_pend": Series(("a_d", "b_d"), pendulum=True),
-    "clamped": Series(("clamped",), bool),
-    "qp_relaxed": Series(("qp_relaxed",), bool),
-    "qp_fault": Series(("qp_fault",), bool),
-}
+# The emitted series, read off SimLog; the JSON keys are their names.
+SERIES = {f.name: f.metadata["series"] for f in fields(SimLog)
+          if "series" in f.metadata}
 
 
 # Each controller law looks up its ctl.<name> functions when it runs, so a
@@ -269,7 +266,7 @@ CONTROLLERS = {
 
 class StepAbort(Exception):
     """StepAbort(t, reason, row): the run stops at time t, and row is the
-    period's log row when it stands, else None."""
+    period's row, as closed_loop_step builds it, or None when none stands."""
 
 
 def closed_loop_step(sc, design, x, diff, t, rng, last):
@@ -277,11 +274,11 @@ def closed_loop_step(sc, design, x, diff, t, rng, last):
 
     design is the controller's setup(sc), diff the run's
     SetpointDifferentiator and rng its noise generator.  Returns the
-    period's log row (SERIES order, cmd_accel last, the pendulum series only
-    with a pendulum) and the state at t + dt, or None when last.  Raises
-    StepAbort at t with no row when a law fails, an infeasible QP included;
-    at t after the row when the RK4 step fails; at t + dt after the row when
-    the pitch or the pendulum leaves its range.
+    period's log row, a dict from series name to value (cmd_accel included,
+    the pendulum series only with a pendulum), and the state at t + dt, or
+    None when last.  Raises StepAbort at t with no row when a law fails, an
+    infeasible QP included; at t after the row when the RK4 step fails; at
+    t + dt after the row when the pitch or the pendulum leaves its range.
     """
     p, pp, law = sc.vehicle, sc.pendulum, CONTROLLERS[sc.controller]
     refs = sample_trajectory(sc.trajectory, t)
@@ -309,15 +306,18 @@ def closed_loop_step(sc, design, x, diff, t, rng, last):
     wrench = models.mixer_forward(u, p)
     c0, c1, c2 = models.gravity_direction_map(q_d, p.m)
     # qp_fault is always False: a QP the relaxation cannot solve aborts.
-    row = (t, x[:12], *([x[12:16]] if pp else ()), u, wrench, q_d, refs.pos,
-           *([refs.pend] if pp else ()), was_clamped, report.relaxed, False,
-           (c0 * thrust, c1 * thrust, c2 * thrust + p.g))
+    row = {"t": t, "quad": x[:12], "u": u, "wrench": wrench, "q_d": q_d,
+           "ref_pos": refs.pos, "clamped": was_clamped,
+           "qp_relaxed": report.relaxed, "qp_fault": False,
+           "cmd_accel": (c0 * thrust, c1 * thrust, c2 * thrust + p.g)}
+    if pp:
+        row["pend"], row["ref_pend"] = x[12:16], refs.pend
 
     if last:
         return row, None
     noise_acc = noise_ang = None
     if sc.noise.enabled:
-        scale = math.sqrt(sc.noise.dt_ref / sc.dt)
+        scale = math.sqrt(NOISE_DT_REF / sc.dt)
         noise_acc = rng.normal(0.0, sc.noise.accel_std * scale, 3).tolist()
         noise_ang = rng.normal(0.0, sc.noise.ang_accel_std * scale, 3).tolist()
     held = wrench.tolist()
@@ -347,14 +347,13 @@ def run_scenario(sc: Scenario) -> SimLog:
     except CareError as exc:
         log.abort(0.0, f"controller synthesis failed: {exc}")
         steps = ()  # abort before the first row
+    columns = {}  # series name -> preallocated array
     for name, series in SERIES.items():
         if sc.has_pendulum or not series.pendulum:
             width = len(series.columns)
             shape = (len(steps),) if width == 1 else (len(steps), width)
-            setattr(log, name, np.empty(shape, series.dtype))
-    log.cmd_accel = np.empty((len(steps), 3))
-    names = [n for n in (*SERIES, "cmd_accel") if getattr(log, n) is not None]
-    columns = [getattr(log, name) for name in names]
+            columns[name] = np.empty(shape, series.dtype)
+    columns["cmd_accel"] = np.empty((len(steps), 3))
     rng = np.random.default_rng(sc.seed)
     rows = 0
 
@@ -366,14 +365,14 @@ def run_scenario(sc: Scenario) -> SimLog:
             t_stop, reason, row = stop.args
             log.abort(t_stop, reason)
         if row is not None:
-            for column, value in zip(columns, row):
-                column[i] = value
+            for name, column in columns.items():
+                column[i] = row[name]
             rows = i + 1
         if log.aborted:
             break
 
-    for name in names:
-        setattr(log, name, getattr(log, name)[:rows])
+    for name, column in columns.items():
+        setattr(log, name, column[:rows])
     log.metrics = compute_metrics(log)
     return log
 
@@ -419,24 +418,28 @@ def count_overshoots(x):
 
 
 def compute_metrics(log: SimLog) -> dict:
-    """Summary metrics; the RMS errors cover the second half of the run."""
-    n = log.t.size
-    if n == 0:
-        # Aborted before the first row: there is nothing to summarise.
-        return {"clamp_events": 0, "qp_relaxed_events": 0, "qp_faults": 0,
-                "aborted": bool(log.aborted)}
-    i0 = int(math.floor(0.5 * (n - 1)))
-    err = log.quad[:, 0:3] - log.ref_pos
+    """The whole metrics file; the RMS errors cover the second half of the
+    run, and a float that is not finite is None."""
     m = {
-        "rms_err_x": rms(err[i0:, 0]),
-        "rms_err_y": rms(err[i0:, 1]),
-        "rms_err_z": rms(err[i0:, 2]),
-        "peak_cmd_accel": float(np.max(np.linalg.norm(log.cmd_accel, axis=1))),
         "clamp_events": int(np.sum(log.clamped)),
         "qp_relaxed_events": int(np.sum(log.qp_relaxed)),
         "qp_faults": int(np.sum(log.qp_fault)),
         "aborted": bool(log.aborted),
     }
+    if log.aborted:
+        m["abort_time"] = log.abort_time
+        m["abort_reason"] = log.abort_reason
+    n = log.t.size
+    if n == 0:
+        # Aborted before the first row: there is nothing to summarise.
+        return m
+    i0 = int(math.floor(0.5 * (n - 1)))
+    err = log.quad[:, 0:3] - log.ref_pos
+    m["rms_err_x"] = rms(err[i0:, 0])
+    m["rms_err_y"] = rms(err[i0:, 1])
+    m["rms_err_z"] = rms(err[i0:, 2])
+    m["peak_cmd_accel"] = float(
+        np.max(np.linalg.norm(log.cmd_accel, axis=1)))
     for k, axis in enumerate("xyz"):
         m[f"settle_{axis}"] = settling_time(err[:, k], log.dt)
     if log.pend is not None:
@@ -447,4 +450,5 @@ def compute_metrics(log: SimLog) -> dict:
             np.max(np.linalg.norm(log.pend[:, 0:2], axis=1)))
         m["overshoot_a"] = count_overshoots(perr[:, 0])
         m["overshoot_b"] = count_overshoots(perr[:, 1])
-    return m
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in m.items()}

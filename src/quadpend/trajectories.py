@@ -39,8 +39,7 @@ class TrajectorySpec:
     altitude: float = -2.0  # p_Z value (Z-down)
     setpoint: tuple = (0.0, 0.0, -2.0)
     transition_time: float = 5.0
-    blend: bool = True
-    blend_window: float = 1.0
+    blend_window: float = 1.0  # 0 or less: the raw switch
     pend_radius: float = 0.1  # pendulum-circle amplitude (m)
 
     def __post_init__(self):
@@ -102,7 +101,7 @@ def sample_trajectory(spec: TrajectorySpec, t: float) -> ReferenceSample:
         else:
             cpos, cvel, cacc = _circle(spec.radius, spec.rate, spec.altitude,
                                        t - t1)
-            if not spec.blend or spec.blend_window <= 0:
+            if spec.blend_window <= 0:
                 pos, vel, acc = cpos, cvel, cacc
             else:
                 w = spec.blend_window

@@ -23,7 +23,9 @@ from quadpend.cli import (EXIT_ABORT, EXIT_OK, EXIT_VALIDATION, EXIT_WRITE,
                           load_scenarios, main, scenario_schema,
                           shipped_scenario_path, shipped_scenarios)
 from quadpend.controllers import TrackingGains
-from quadpend.harness import CONTROLLERS, SERIES, NoiseSpec, Scenario
+from quadpend.harness import (CONTROLLERS, SERIES, NoiseSpec, Scenario,
+                              run_scenario)
+from quadpend.models import PendulumParams
 from quadpend.trajectories import TRAJECTORY_KINDS
 
 HOVER = """\
@@ -70,6 +72,14 @@ def write(tmp_path, text, name="case.scn"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def read_metrics(path):
+    """A metrics.json file read as strict JSON: NaN and Infinity raise."""
+    def reject(token):
+        raise ValueError(f"{path.name} holds {token}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestValidate:
@@ -124,9 +134,14 @@ class TestValidate:
         (HOVER + "vehicle:\n  inertia: [0.0, 0.01, 0.02]\n", [],
          "inertia values must be positive"),
         (PEND.replace("half_length: 0.5", "half_length: 0.0"), [],
-         "pendulum half-length must be positive")],
+         "pendulum half-length must be positive"),
+        (HOVER + "vehicle:\n  mass: true\n", [],
+         "vehicle.mass must be a number, got True"),
+        (HOVER.replace("setpoint: [0.0, 0.0, -2.0]", "setpoint: [0, 0, yes]"),
+         [], "trajectory.setpoint must be a number, got True")],
         ids=["section-not-a-mapping", "unclosed-list", "document-a-list",
-             "set-without-value", "zero-inertia", "zero-half-length"])
+             "set-without-value", "zero-inertia", "zero-half-length",
+             "boolean-mass", "boolean-in-a-vector"])
     def test_malformed_input_rejected(self, tmp_path, capsys, text, sets,
                                       message):
         rc = main(["validate", write(tmp_path, text), *sets])
@@ -164,6 +179,27 @@ class TestValidate:
             errs.append(capsys.readouterr().err)
         assert "initial.position must be a number, got None" in errs[0]
         assert errs[1] == errs[0].replace("position", "pendulum")
+
+    @pytest.mark.parametrize("initial", [
+        "", "initial: {pendulum: [0.02, 0.0, 0.0, 0.0]}\n"],
+        ids=["upright", "offset"])
+    def test_empty_pendulum_section_enables_the_pendulum(self, tmp_path,
+                                                         initial):
+        path = write(tmp_path, "controller: pend-xi\npendulum: {}\n" + initial)
+        assert main(["validate", path]) == EXIT_OK
+        [sc] = load_scenarios(Path(path))
+        assert sc.pendulum == PendulumParams()
+
+    def test_null_pendulum_section_drops_the_pendulum(self, tmp_path):
+        text = HOVER + """\
+pendulum: {half_length: 0.4}
+batch:
+  - {name: with, set: {}}
+  - {name: without, set: {pendulum: null}}
+"""
+        with_, without = load_scenarios(Path(write(tmp_path, text)))
+        assert with_.pendulum == PendulumParams(L=0.4)
+        assert without.pendulum is None
 
     def test_initial_pendulum_without_pendulum_rejected(self, tmp_path,
                                                         capsys):
@@ -306,7 +342,7 @@ class TestRun:
         # sentinel.
         i_a = header.index("a")
         assert all(r[i_a] == "" for r in rows)
-        m = json.loads(metrics.read_text())
+        m = read_metrics(metrics)
         assert m["aborted"] is False
         assert m["rms_err_z"] == pytest.approx(0.0, abs=1e-12)
 
@@ -341,7 +377,7 @@ class TestRun:
                    "--out", str(out)])
         assert rc == EXIT_ABORT
         assert "QP did not converge" in capsys.readouterr().err
-        m = json.loads((out / "fig5b-noise-clfqp.metrics.json").read_text())
+        m = read_metrics(out / "fig5b-noise-clfqp.metrics.json")
         assert m["aborted"] is True
         assert m["abort_time"] == pytest.approx(2.528)
         assert "QP did not converge" in m["abort_reason"]
@@ -355,7 +391,7 @@ class TestRun:
         rc = main(["run", write(tmp_path, text), "--out", str(tmp_path / "o")])
         assert rc == EXIT_ABORT
         assert "abort" in capsys.readouterr().err
-        m = json.loads((tmp_path / "o" / "pend-test.metrics.json").read_text())
+        m = read_metrics(tmp_path / "o" / "pend-test.metrics.json")
         assert m["aborted"] is True
         assert "abort_reason" in m
         with open(tmp_path / "o" / "pend-test.csv") as fh:
@@ -386,10 +422,23 @@ class TestRun:
             assert payload.pop("scenario") == name
             assert payload.pop("columns") == header
             assert payload == {key: [] for key in SERIES}
-        m = json.loads((tmp_path / "o" / f"{name}.metrics.json").read_text())
+        m = read_metrics(tmp_path / "o" / f"{name}.metrics.json")
         assert m["aborted"] is True
         assert m["abort_time"] == 0.0
         assert m["abort_reason"]
+
+    def test_metrics_that_are_not_finite_are_null(self, tmp_path):
+        # A 1e160 m error squares to infinity in the RMS errors and in the
+        # commanded acceleration's norm.
+        text = HOVER.replace("fbl-regulator", "fbl-tracker").replace(
+            "position: [0.0, 0.0, -2.0]", "position: [1.0e+160, 0.0, -2.0]"
+        ).replace("duration: 0.05", "duration: 0.01")
+        path = write(tmp_path, text)
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == EXIT_OK
+        m = read_metrics(tmp_path / "o" / "hover-test.metrics.json")
+        assert m["rms_err_x"] is None and m["peak_cmd_accel"] is None
+        [sc] = load_scenarios(Path(path))
+        assert run_scenario(sc).metrics == m
 
     # The 2501-row run writes each JSON series in three chunks of rows.
     @pytest.mark.parametrize("text, n_rows", [

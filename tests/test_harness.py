@@ -2,7 +2,6 @@
 
 import math
 from collections import Counter
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,16 +11,18 @@ from hypothesis import strategies as st
 import quadpend.controllers as ctl
 import quadpend.harness as harness
 from quadpend.controllers import TrackingGains
-from quadpend.harness import (CONTROLLERS, MAX_STEPS, SERIES, NoiseSpec,
-                              Scenario, ScenarioError, SimLog,
-                              compute_metrics, count_overshoots, rms,
-                              run_scenario, settling_time)
+from quadpend.harness import (CONTROLLERS, MAX_STEPS, NOISE_DT_REF, SERIES,
+                              NoiseSpec, Scenario, ScenarioError,
+                              closed_loop_step, compute_metrics,
+                              count_overshoots, rms, run_scenario,
+                              settling_time)
 from quadpend.models import (InitialState, PendulumParams,
                              VehicleParams, coupled_derivative,
                              pendulum_drift_and_coupling)
 from quadpend.numerics import (NonFiniteDerivativeError, QpInfeasibleError,
                                rk4_step)
-from quadpend.trajectories import TRAJECTORY_KINDS, TrajectorySpec
+from quadpend.trajectories import (TRAJECTORY_KINDS, SetpointDifferentiator,
+                                   TrajectorySpec)
 
 P = VehicleParams()
 
@@ -73,7 +74,8 @@ class TestScenarioValidation:
         hover_scenario(duration=MAX_STEPS * 1e-3)  # built, never run
 
     @pytest.mark.parametrize("make", [
-        lambda: NoiseSpec(accel_std=-0.1), lambda: NoiseSpec(dt_ref=0.0),
+        lambda: NoiseSpec(accel_std=-0.1),
+        lambda: NoiseSpec(ang_accel_std=-0.1),
         lambda: TrackingGains(q_care=0.0),
         lambda: TrackingGains(r_lqr=(1.0, -1.0))])
     def test_invalid_noise_or_weights(self, make):
@@ -152,10 +154,24 @@ class TestHoverInvariance:
         assert log.t[-1] == pytest.approx(0.5)
 
 
-def test_simlog_declares_the_series():
-    # cmd_accel is logged for the metrics only, not emitted.
-    arrays = [f.name for f in fields(SimLog) if f.type is np.ndarray]
-    assert [name for name in arrays if name != "cmd_accel"] == list(SERIES)
+@pytest.mark.parametrize("controller, pendulum", [
+    (name, pendulum) for name in CONTROLLERS for pendulum in (False, True)
+    if pendulum or not CONTROLLERS[name].pendulum])
+def test_step_row_names_the_allocated_series(controller, pendulum):
+    # run_scenario writes column[i] = row[name] for each series it allocates
+    # and for cmd_accel, which is logged for the metrics only.
+    sc = hover_scenario(controller=controller, duration=0.002,
+                        pendulum=PendulumParams() if pendulum else None)
+    x = sc.initial.as_vector().tolist()[:16 if pendulum else 12]
+    row, _ = closed_loop_step(sc, CONTROLLERS[controller].setup(sc), x,
+                              SetpointDifferentiator(sc.dt), 0.0,
+                              np.random.default_rng(0), False)
+    allocated = {name for name, series in SERIES.items()
+                 if pendulum or not series.pendulum}
+    assert set(row) == allocated | {"cmd_accel"}
+    log = run_scenario(sc)
+    assert {name for name in SERIES if getattr(log, name) is not None
+            } == allocated
 
 
 @pytest.mark.parametrize("controller", ["fbl-regulator", "pend-xi"])
@@ -253,14 +269,13 @@ class TestNoiseInjection:
     def test_first_noisy_step_reproducible_from_seed(self):
         # Replaying the generator draws and one RK4 step must reproduce the
         # logged state exactly, pinning both the draw order and the
-        # sqrt(dt_ref/dt) scaling.
+        # sqrt(NOISE_DT_REF/dt) scaling.
         dt = 2e-3
-        spec = NoiseSpec(enabled=True, accel_std=0.2, ang_accel_std=0.1,
-                         dt_ref=1e-3)
+        spec = NoiseSpec(enabled=True, accel_std=0.2, ang_accel_std=0.1)
         sc = hover_scenario(noise=spec, seed=11, dt=dt, duration=2 * dt)
         log = run_scenario(sc)
 
-        scale = math.sqrt(spec.dt_ref / dt)
+        scale = math.sqrt(NOISE_DT_REF / dt)
         rng = np.random.default_rng(11)
         noise_acc = rng.normal(0.0, spec.accel_std * scale, 3)
         noise_ang = rng.normal(0.0, spec.ang_accel_std * scale, 3)
@@ -371,7 +386,9 @@ class TestEventsAndAborts:
         assert "synthesis" in log.abort_reason
         assert log.t.size == 0
         assert log.metrics == {"clamp_events": 0, "qp_relaxed_events": 0,
-                               "qp_faults": 0, "aborted": True}
+                               "qp_faults": 0, "aborted": True,
+                               "abort_time": 0.0,
+                               "abort_reason": log.abort_reason}
 
 
 class TestAbortContract:

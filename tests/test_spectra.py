@@ -40,8 +40,7 @@ def step_map(sc, design, z):
     diff.update(z[n + 3:])
     row, x = closed_loop_step(sc, design, z[:n].tolist(), diff, 0.0,
                               np.random.default_rng(0), False)
-    q_d = row[5 if sc.has_pendulum else 4]
-    return np.concatenate([x, z[n + 3:], q_d])
+    return np.concatenate([x, z[n + 3:], row["q_d"]])
 
 
 def closed_loop_poles(sc, h=1e-6):

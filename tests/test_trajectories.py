@@ -94,7 +94,7 @@ class TestTakeoffThenCircle:
         # Velocity and acceleration jumps across every phase boundary stay
         # below the finite-difference noise floor.
         spec = TrajectorySpec(kind="takeoff-then-circle", transition_time=5.0,
-                              blend=True, blend_window=1.0)
+                              blend_window=1.0)
         h = 1e-7
         for t_knot in (5.0, 6.0):
             lo = sample_trajectory(spec, t_knot - h)
@@ -124,7 +124,7 @@ class TestTakeoffThenCircle:
 
     def test_raw_switch_has_velocity_jump(self):
         spec = TrajectorySpec(kind="takeoff-then-circle", transition_time=5.0,
-                              blend=False)
+                              blend_window=0.0)
         lo = sample_trajectory(spec, 5.0 - 1e-9)
         hi = sample_trajectory(spec, 5.0 + 1e-9)
         assert np.linalg.norm(np.subtract(hi.pos_dot, lo.pos_dot)) > 0.4
