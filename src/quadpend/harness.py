@@ -13,10 +13,11 @@ BLAS calls on numpy.
 SimLog's fields declare the series a run logs (SERIES is read off them), a
 step's row is keyed by their names, and compute_metrics builds the metrics.
 
-A step that ends the run raises StepAbort, and run_scenario records it:
-a failing outer or inner law, an infeasible QP included, at t without the
-period's row; a failing RK4 step at t after the row; a pitch or pendulum
-out of range at t + dt after the row.
+What ends a run is stated once, in RUN_FAILURES.  A step that ends the run
+raises StepAbort, and run_scenario records it: a failing reference, outer
+or inner law, an infeasible QP included, at t without the period's row; a
+failing noise draw or RK4 step at t after the row; a pitch or pendulum out
+of range at t + dt after the row.
 """
 
 import math
@@ -26,16 +27,20 @@ import numpy as np
 
 from . import controllers as ctl
 from . import models
-from .models import (PENDULUM_MARGIN, InitialState, PendulumHorizontalError,
-                     PendulumParams, SingularAttitudeError, VehicleParams)
-from .numerics import (CareError, NonFiniteDerivativeError,
-                       QpInfeasibleError, QpNotConvergedError, rk4_step)
+from .models import PENDULUM_MARGIN, InitialState, PendulumParams, VehicleParams
+from .numerics import rk4_step
 from .trajectories import SetpointDifferentiator, TrajectorySpec, sample_trajectory
 
 # Largest duration / dt a scenario may ask for.  The log is preallocated,
 # at roughly 300 bytes a step, so this bounds a run's log to about 3 GB.
 MAX_STEPS = 10 ** 7
 NOISE_DT_REF = 1e-3  # the step at which NoiseSpec's stds are quoted
+# What ends a run rather than the program.  Every error the model, the laws
+# and the solvers raise is a ValueError (np.linalg.LinAlgError too) or a
+# RuntimeError, and float overflow an ArithmeticError.  A TypeError,
+# KeyError, AttributeError or IndexError is a programming error, and
+# propagates.
+RUN_FAILURES = (ArithmeticError, ValueError, RuntimeError)
 
 
 class ScenarioError(ValueError):
@@ -44,19 +49,22 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive zero-mean Gaussian process noise, held over each step.
+    """Additive zero-mean Gaussian process noise, held over each step, on
+    when a std is positive.
 
     Stds are quoted at NOISE_DT_REF and rescaled by sqrt(NOISE_DT_REF/dt),
     so the injected noise energy is step-size independent.
     """
 
-    enabled: bool = False
-    accel_std: float = 0.2      # m/s^2 on v_dot
-    ang_accel_std: float = 0.1  # rad/s^2 on omega_dot
+    accel_std: float = 0.0      # m/s^2 on v_dot
+    ang_accel_std: float = 0.0  # rad/s^2 on omega_dot
 
     def __post_init__(self):
         if self.accel_std < 0 or self.ang_accel_std < 0:
             raise ScenarioError("noise stds must be nonnegative")
+        # -0.0 is a zero std, but rng.normal rejects it as a scale.
+        for key in ("accel_std", "ang_accel_std"):
+            object.__setattr__(self, key, abs(getattr(self, key)))
 
 
 @dataclass(frozen=True)
@@ -85,6 +93,16 @@ class Scenario:
                 f"the limit of {MAX_STEPS}")
         # SetpointDifferentiator divides by dt * dt.
         models.check_power_in_range(self.dt, 2, "dt")
+        tr = self.trajectory
+        if tr.kind != "set-point":
+            # The reference's phase is rate * t, from transition_time for
+            # takeoff-then-circle, and largest at the last step.
+            t = round(self.duration / self.dt) * self.dt
+            if tr.kind == "takeoff-then-circle":
+                t = max(t - tr.transition_time, 0.0)
+            if not math.isfinite(tr.rate * t):
+                raise ScenarioError(f"trajectory.rate {tr.rate!r} is out of "
+                                    f"range: the phase rate * {t!r} overflows")
         if self.seed < 0:
             raise ScenarioError("seed must be nonnegative")
         if CONTROLLERS[self.controller].pendulum and self.pendulum is None:
@@ -276,23 +294,21 @@ def closed_loop_step(sc, design, x, diff, t, rng, last):
     SetpointDifferentiator and rng its noise generator.  Returns the
     period's log row, a dict from series name to value (cmd_accel included,
     the pendulum series only with a pendulum), and the state at t + dt, or
-    None when last.  Raises StepAbort at t with no row when a law fails, an
-    infeasible QP included; at t after the row when the RK4 step fails; at
-    t + dt after the row when the pitch or the pendulum leaves its range.
+    None when last.  Raises StepAbort, for any of RUN_FAILURES, at t with no
+    row when the reference or a law fails, an infeasible QP included; at t
+    after the row when the noise draw or the RK4 step fails; and at t + dt
+    after the row when the pitch or the pendulum leaves its range.
     """
     p, pp, law = sc.vehicle, sc.pendulum, CONTROLLERS[sc.controller]
-    refs = sample_trajectory(sc.trajectory, t)
     try:
+        refs = sample_trajectory(sc.trajectory, t)
         q_d, thrust, z_ref = law.outer(sc, design, x, refs)
         qd_dot, qd_ddot = diff.update(q_d)
         ref_out = ctl.OutputReference(y_d=(z_ref[0], *q_d),
                                       y_d_dot=(z_ref[1], *qd_dot),
                                       y_d_ddot=(z_ref[2], *qd_ddot))
         u, report = law.inner(sc, design, x, ref_out)
-    except (SingularAttitudeError, PendulumHorizontalError,
-            ctl.PendulumCouplingError, ctl.AllocationError,
-            QpInfeasibleError, QpNotConvergedError,
-            np.linalg.LinAlgError) as exc:
+    except RUN_FAILURES as exc:
         raise StepAbort(t, str(exc), None) from exc
 
     # A command more than 1e-12 outside its bounds is clamped; this is
@@ -315,17 +331,16 @@ def closed_loop_step(sc, design, x, diff, t, rng, last):
 
     if last:
         return row, None
-    noise_acc = noise_ang = None
-    if sc.noise.enabled:
-        scale = math.sqrt(NOISE_DT_REF / sc.dt)
-        noise_acc = rng.normal(0.0, sc.noise.accel_std * scale, 3).tolist()
-        noise_ang = rng.normal(0.0, sc.noise.ang_accel_std * scale, 3).tolist()
+    noise, noise_acc, noise_ang = sc.noise, None, None
     held = wrench.tolist()
     try:
+        if noise.accel_std > 0 or noise.ang_accel_std > 0:
+            scale = math.sqrt(NOISE_DT_REF / sc.dt)
+            noise_acc = rng.normal(0.0, noise.accel_std * scale, 3).tolist()
+            noise_ang = rng.normal(0.0, noise.ang_accel_std * scale, 3).tolist()
         x = rk4_step(lambda xx: models.coupled_derivative(
             xx, held, p, pp, noise_acc, noise_ang), x, sc.dt, t=t)
-    except (SingularAttitudeError, PendulumHorizontalError,
-            NonFiniteDerivativeError) as exc:
+    except RUN_FAILURES as exc:
         raise StepAbort(t, str(exc), row) from exc
     if abs(x[7]) >= math.pi / 2:
         raise StepAbort(t + sc.dt, "pitch reached +-pi/2", row)
@@ -344,7 +359,7 @@ def run_scenario(sc: Scenario) -> SimLog:
     diff = SetpointDifferentiator(sc.dt)
     try:
         design = CONTROLLERS[sc.controller].setup(sc)
-    except CareError as exc:
+    except RUN_FAILURES as exc:
         log.abort(0.0, f"controller synthesis failed: {exc}")
         steps = ()  # abort before the first row
     columns = {}  # series name -> preallocated array

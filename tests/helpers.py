@@ -6,9 +6,11 @@ import numpy as np
 from hypothesis import strategies as st
 
 from quadpend.controllers import DECOUPLING_MARGIN
+from quadpend.harness import SERIES, closed_loop_step
 from quadpend.models import (PendulumParams, SingularAttitudeError,
                              VehicleParams, coupled_derivative, pendulum_zeta)
 from quadpend.numerics import NonFiniteDerivativeError
+from quadpend.trajectories import SetpointDifferentiator
 
 
 def pendulum_accel(xp, p_ddot, pp, g):
@@ -218,3 +220,35 @@ def step_inputs(draw, pendulum, noise):
         if noise else (None, None)
     return (np.array(x), np.array(wrench), p, pp) + tuple(
         None if n is None else np.array(n) for n in noises)
+
+
+def replay_period(sc, design, log, i):
+    """closed_loop_step's period i of sc, rebuilt from the emitted CSV log
+    (column name -> cells) alone: the state from row i, the differentiator
+    from the q_d of rows i - 2 and i - 1, and a fresh generator past the
+    2i draws of 3 of the earlier periods when a noise std is positive.
+    design is the controller's setup(sc).  Returns (row, next state), or
+    raises StepAbort, as the run did."""
+    def floats(series, row):
+        return [float(log[c][row]) for c in SERIES[series].columns]
+
+    x = floats("quad", i) + (floats("pend", i) if sc.has_pendulum else [])
+    diff = SetpointDifferentiator(sc.dt)
+    for row in range(max(i - 2, 0), i):
+        diff.update(floats("q_d", row))
+    rng = np.random.default_rng(sc.seed)
+    if sc.noise.accel_std > 0 or sc.noise.ang_accel_std > 0:
+        rng.standard_normal(6 * i)
+    return closed_loop_step(sc, design, x, diff, i * sc.dt, rng,
+                            i == round(sc.duration / sc.dt))
+
+
+def csv_cells(row):
+    """Column name -> CSV cell of each emitted series in a step's row."""
+    cells = {}
+    for name, series in SERIES.items():
+        if name in row:
+            cast = int if series.dtype is bool else float
+            cells.update(zip(series.columns, (
+                repr(cast(v)) for v in np.ravel(row[name]).tolist())))
+    return cells

@@ -56,6 +56,9 @@ initial:
 """
 
 
+# fig5a and fig5b's process noise.
+NOISE = "noise:\n  accel_std: 0.2\n  ang_accel_std: 0.1\n"
+
 # The CSV header without a pendulum, as the first release wrote it.
 HEADER = [
     "t", "p_X", "p_Y", "p_Z", "v_X", "v_Y", "v_Z", "phi", "theta", "psi",
@@ -295,13 +298,20 @@ batch:
         (HOVER.replace("name: hover-test", 'name: "a\\ud800b"'), "name"),
         (HOVER.replace("name: hover-test", "name: " + "x" * 250), "name"),
         (HOVER.replace("fbl-regulator", "clf-qp")
-         + "vehicle:\n  thrust_coeff: 1.0e-310\n", "thrust_coeff")],
+         + "vehicle:\n  thrust_coeff: 1.0e-310\n", "thrust_coeff"),
+        (PEND.replace("duration: 0.05", "duration: 1.2").replace(
+            "kind: set-point", "kind: circle\n  rate: 1.7e+308"),
+         "trajectory.rate"),
+        (HOVER.replace("kind: set-point", "kind: takeoff-then-circle\n"
+                       "  transition_time: -1.0e+308\n  rate: 2.0"),
+         "trajectory.rate")],
         ids=["steps-overflow", "nul-in-name", "transition-time-underflow",
              "blend-window-underflow", "rotor-diameter-power-overflow",
              "half-length-cube-overflow", "half-length-power-underflow",
              "zero-torque-coeff", "dt-square-underflow", "surrogate-in-name",
              "name-too-long-for-a-file",
-             "thrust-coeff-default-u-max-overflow"])
+             "thrust-coeff-default-u-max-overflow",
+             "circle-phase-overflows-late", "circle-phase-overflows-at-0"])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_value_that_broke_a_run_rejected(self, tmp_path, capsys, text,
                                              key, command):
@@ -384,6 +394,17 @@ class TestRun:
         with open(out / "fig5b-noise-clfqp.csv") as fh:
             assert len(list(csv.reader(fh))) == 1 + 1264  # header + rows
 
+    def test_negative_zero_noise_std_is_a_zero_std(self, tmp_path):
+        files = {}
+        for std in ("-0.0", "0.0"):
+            out = tmp_path / std
+            assert main(["run", "fig5b-noise-clfqp.scn", "--out", str(out),
+                         "--set", "duration=0.1",
+                         "--set", f"noise.accel_std={std}"]) == EXIT_OK
+            files[std] = [(out / f"fig5b-noise-clfqp{ext}").read_bytes()
+                          for ext in (".csv", ".metrics.json")]
+        assert files["-0.0"] == files["0.0"]
+
     def test_abort_exit_code_and_partial_log(self, tmp_path, capsys):
         text = PEND.replace("pendulum: [0.02, 0.0, 0.0, 0.0]",
                             "pendulum: [0.45, 0.0, 3.0, 0.0]").replace(
@@ -446,7 +467,7 @@ class TestRun:
         (HOVER.replace("duration: 0.05", "duration: 2.5"), 2501)],
         ids=["no-pendulum", "pendulum", "2501-rows"])
     def test_csv_and_json_hold_the_same_values(self, tmp_path, text, n_rows):
-        path = write(tmp_path, text + "noise:\n  enabled: true\n")
+        path = write(tmp_path, text + NOISE)
         for fmt in ("csv", "json"):
             rc = main(["run", path, "--out", str(tmp_path), "--format", fmt])
             assert rc == EXIT_OK
@@ -513,8 +534,7 @@ class TestRun:
         assert float(row_b["p_Z"]) == -1.9
 
     def test_rerun_same_seed_byte_identical(self, tmp_path):
-        noisy = HOVER + "noise:\n  enabled: true\n"
-        path = write(tmp_path, noisy)
+        path = write(tmp_path, HOVER + NOISE)
         main(["run", path, "--out", str(tmp_path / "a"), "--seed", "3"])
         main(["run", path, "--out", str(tmp_path / "b"), "--seed", "3"])
         a = (tmp_path / "a" / "hover-test.csv").read_bytes()
@@ -525,8 +545,7 @@ class TestRun:
         assert ma == mb
 
     def test_different_seed_differs(self, tmp_path):
-        noisy = HOVER + "noise:\n  enabled: true\n"
-        path = write(tmp_path, noisy)
+        path = write(tmp_path, HOVER + NOISE)
         main(["run", path, "--out", str(tmp_path / "a"), "--seed", "3"])
         main(["run", path, "--out", str(tmp_path / "b"), "--seed", "4"])
         assert ((tmp_path / "a" / "hover-test.csv").read_bytes()
@@ -691,24 +710,26 @@ def _typed(like):
     return st.lists(FLOATS, min_size=len(like), max_size=len(like)) | FLOATS
 
 
-def _typed_sections():
-    """Section ("" for the top level) -> {key: _typed strategy}, for every
-    key but batch; the top-level key dt draws dt and a duration of 1 to 1000
-    steps of it."""
+def _sections(strategy, skip):
+    """Section ("" for the top level) -> {key: strategy(its default value)},
+    for every key but batch and the (section, key) pairs in skip."""
     defaults = Scenario()
     classes = {f.name: f.type for f in fields(Scenario)}
-    out = {"": {"dt": st.tuples(FLOATS, st.integers(1, 1000))}}
+    out = {"": {}}
     for key, sub in scenario_schema().items():
         if isinstance(sub, dict):
             like = classes[key]()
-            out[key] = {k: _typed(getattr(like, name))
-                        for k, name in sub.items()}
-        elif key not in ("duration", "dt", "batch"):
-            out[""][key] = _typed(getattr(defaults, sub))
+            out[key] = {k: strategy(getattr(like, name))
+                        for k, name in sub.items() if (key, k) not in skip}
+        elif key != "batch" and ("", key) not in skip:
+            out[""][key] = strategy(getattr(defaults, sub))
     return out
 
 
-TYPED = _typed_sections()
+# Keys drawn by type; the top-level key dt draws dt and a duration of 1 to
+# 1000 steps of it.
+TYPED = _sections(_typed, {("", "duration"), ("", "dt")})
+TYPED[""]["dt"] = st.tuples(FLOATS, st.integers(1, 1000))
 PEND_DOC = yaml.safe_load(PEND.replace("duration: 0.05", "duration: 0.002"))
 
 
@@ -736,9 +757,9 @@ def _main_stderr(argv):
         return main(argv), err.getvalue()
 
 
-@settings(max_examples=700)
-@given(typed_scenarios())
-def test_what_validate_accepts_runs_and_what_it_rejects_run_rejects(doc):
+def assert_run_keeps_what_validate_says(doc):
+    """validate exits 0 or 2 on the scenario doc; run then exits 0 or 3, or
+    2 with validate's message; neither ends in a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "case.scn"
         path.write_text(yaml.safe_dump(doc), encoding="utf-8")
@@ -749,6 +770,63 @@ def test_what_validate_accepts_runs_and_what_it_rejects_run_rejects(doc):
         assert ran[0] in (EXIT_OK, EXIT_ABORT)
     else:
         assert ran == validated
+
+
+@settings(max_examples=700)
+@given(typed_scenarios())
+def test_what_validate_accepts_runs_and_what_it_rejects_run_rejects(doc):
+    assert_run_keeps_what_validate_says(doc)
+
+
+# Values at the ends of each type's range, for the multi-key fuzz: a float
+# or a vector component is a signed zero, the least subnormal, a number
+# whose square overflows or one near the largest float.
+EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, 1e154, 1.7e308, -1.7e308])
+
+
+def _extreme(like):
+    """An extreme value of the type of the default value like."""
+    if isinstance(like, int):
+        return st.sampled_from([0, -1, 2 ** 64])
+    if isinstance(like, str):
+        return st.sampled_from(["", *CONTROLLERS])
+    if isinstance(like, float):
+        return EXTREMES
+    n = len(like)
+    return st.lists(EXTREMES, min_size=n, max_size=n) | EXTREMES
+
+
+# Keys drawn at extremes: the controller and trajectory.kind are drawn apart,
+# and the duration and dt stay fixed.
+EXTREME_KEYS = _sections(_extreme, {("", "controller"), ("trajectory", "kind"),
+                                    ("", "duration"), ("", "dt")})
+LONG_DOC = yaml.safe_load(PEND.replace("duration: 0.05", "duration: 1.2")
+                          .replace("dt: 0.001", "dt: 0.02"))
+
+
+@st.composite
+def multi_key_scenarios(draw):
+    """PEND for 1.2 s at a 20 ms step, with a controller and a reference
+    kind drawn first, without the pendulum for the controllers that need
+    none, and then two or three keys at extreme values, each drawn section
+    first."""
+    doc = copy.deepcopy(LONG_DOC)
+    doc["controller"] = draw(st.sampled_from(list(CONTROLLERS)))
+    doc["trajectory"]["kind"] = draw(st.sampled_from(TRAJECTORY_KINDS))
+    if not CONTROLLERS[doc["controller"]].pendulum:
+        del doc["pendulum"], doc["initial"]["pendulum"]
+    for _ in range(draw(st.integers(2, 3))):
+        section = draw(st.sampled_from(sorted(EXTREME_KEYS)))
+        key = draw(st.sampled_from(sorted(EXTREME_KEYS[section])))
+        value = draw(EXTREME_KEYS[section][key])
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+    return doc
+
+
+@settings(max_examples=300)
+@given(multi_key_scenarios())
+def test_what_validate_accepts_runs_with_extreme_keys(doc):
+    assert_run_keeps_what_validate_says(doc)
 
 
 def test_readme_csv_columns_match_series(tmp_path):
